@@ -6,12 +6,12 @@ canonical reduced rewriting basis when one exists within bounds, and
 normal forms then decide the word problem.
 """
 
-from .terms import (Alphabet, CommMonomial, Polynomial, RigMonomial, Symbol,
-                    THETA, Word, lcm_circ)
+from .terms import (Alphabet, CommMonomial, Polynomial, RigMonomial, THETA,
+                    Word, lcm_circ)
 from .ordering import RigOrder, default_keyword, order_for
 from .rewrite import (Context, Occurrence, ReductionError, ReductionTrace,
                       Relation, System, TraceStep, base_monomials_up_to,
-                      elt, enum_irr, find_occurrences, first_occurrence,
+                      enum_irr, find_occurrences, first_occurrence,
                       is_irreducible, normal_form, normal_form_monomial,
                       orient_pair, pattern_occurrences)
 from .composition import (CompositionRecord, KIND_COMM, KIND_INCLUSION,

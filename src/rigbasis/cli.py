@@ -63,13 +63,16 @@ def _expr(text, p):
         raise CliError(f"bad expression {text!r}: {e}") from None
 
 
+def _json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
 def _json_report(status, system, stats):
     a = system.alphabet
     basis = [{"lhs": render_monomial(r.lhs, a),
               "rhs": render_monomial(r.rhs, a)}
              for r in system.active_relations()]
-    return json.dumps({"status": status, "basis": basis, "stats": stats},
-                      sort_keys=True, indent=2)
+    return _json({"status": status, "basis": basis, "stats": stats})
 
 
 def _print_basis(system):
@@ -151,16 +154,20 @@ def cmd_eq(args):
     u = _expr(args.left, p)
     v = _expr(args.right, p)
     verdict, nu, nv = decide_eq(u, v, report)
-    a = p.alphabet
-    if verdict == EQUAL:
-        print(f"EQUAL, nf = {render_monomial(nu, a)}")
-        return EX_OK
-    lhs, rhs = render_monomial(nu, a), render_monomial(nv, a)
-    if verdict == DISTINCT:
+    lhs = render_monomial(nu, p.alphabet)
+    rhs = render_monomial(nv, p.alphabet)
+    if args.json:
+        print(_json({"verdict": verdict, "status": report.status,
+                     "nf": [lhs, rhs]}))
+    elif verdict == EQUAL:
+        print(f"EQUAL, nf = {lhs}")
+    elif verdict == DISTINCT:
         print(f"DISTINCT, nf = {lhs} != {rhs}")
-        return EX_DISTINCT
-    print(f"UNKNOWN (basis truncated), nf = {lhs} ?= {rhs}")
-    return EX_UNKNOWN
+    else:
+        print(f"UNKNOWN (basis truncated), nf = {lhs} ?= {rhs}")
+    if verdict == EQUAL:
+        return EX_OK
+    return EX_DISTINCT if verdict == DISTINCT else EX_UNKNOWN
 
 
 def cmd_irr(args):

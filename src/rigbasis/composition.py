@@ -12,6 +12,13 @@ Noncommutative pairs come in two kinds per component pair (p, q):
 Separated placements are not enumerated; their S-polynomials reduce via
 combinations with smaller leading terms, and admitting them would make
 the candidate set infinite.
+
+Every relation is a unit binomial lhs - rhs, and both contexts carry
+their lhs onto the ambiguity w.  The w terms of ctx_f[f] - ctx_g[g]
+therefore cancel: an S-pair of two unit binomials is the monomial pair
+(ctx_g[g.rhs], ctx_f[f.rhs]), standing for ctx_g[g.rhs] - ctx_f[f.rhs],
+and it is zero exactly when the two monomials coincide.  Records store
+the pair and build the Polynomial only when asked for it.
 """
 
 from __future__ import annotations
@@ -37,28 +44,39 @@ class CompositionRecord:
     a: object            # derived cofactors
     b: object
     ambiguity: RigMonomial
-    spoly: Polynomial
+    mf: RigMonomial      # ctx_f[f.rhs]
+    mg: RigMonomial      # ctx_g[g.rhs]
     ctx_f: Context
     ctx_g: Context
+
+    @property
+    def spoly(self) -> Polynomial:
+        """ctx_f[f] - ctx_g[g], which is mg - mf."""
+        return Polynomial(((self.mf, -1), (self.mg, 1)))
 
 
 def _record(f: Relation, g: Relation, f_id, g_id, kind, p, q, a, b,
             ctx_f: Context, ctx_g: Context, w: RigMonomial,
-            order: RigOrder):
-    if ctx_f.apply_mon(f.lhs) != w or ctx_g.apply_mon(g.lhs) != w:
+            lf: RigMonomial, lg: RigMonomial):
+    """Record for one site, or None when its S-polynomial vanishes.
+
+    lf and lg are f.lhs and g.lhs already scaled by the cofactors of
+    ctx_f and ctx_g; padding them must give w.
+    """
+    if lf.circ(ctx_f.pad) != w or lg.circ(ctx_g.pad) != w:
         raise AssertionError("composition contexts do not meet the ambiguity")
-    spoly = ctx_f.apply(f.poly()).sub(ctx_g.apply(g.poly()))
-    if spoly.is_zero():
+    mf = ctx_f.apply_mon(f.rhs)
+    mg = ctx_g.apply_mon(g.rhs)
+    if mf == mg:
         return None
-    lead, _ = order.leading(spoly)
-    if not order.less(lead, w):
+    if not max(mf.skey, mg.skey) < w.skey:
         raise AssertionError("S-polynomial is not below its ambiguity")
-    return CompositionRecord(f_id, g_id, kind, p, q, a, b, w, spoly,
+    return CompositionRecord(f_id, g_id, kind, p, q, a, b, w, mf, mg,
                              ctx_f, ctx_g)
 
 
 def comm_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
-                      order: RigOrder, ident) -> list:
+                      ident) -> list:
     """Records for every component pair; duplicates by cofactor dropped."""
     out = []
     seen = set()
@@ -76,14 +94,14 @@ def comm_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
             w, uu, vv = lcm_circ(fa, gb)
             rec = _record(f, g, f_id, g_id, KIND_COMM, u, v, a, b,
                           Context(a, ident, uu), Context(b, ident, vv),
-                          w, order)
+                          w, fa, gb)
             if rec is not None:
                 out.append(rec)
     return out
 
 
 def nc_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
-                    order: RigOrder, ident) -> list:
+                    ident) -> list:
     """Intersection and inclusion records for the ordered pair (f, g)."""
     out = []
     seen = set()
@@ -105,7 +123,7 @@ def nc_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
                 w, uu, vv = lcm_circ(fa, bg)
                 rec = _record(f, g, f_id, g_id, KIND_INTERSECTION, p, q,
                               a, b, Context(ident, a, uu),
-                              Context(b, ident, vv), w, order)
+                              Context(b, ident, vv), w, fa, bg)
                 if rec is not None:
                     out.append(rec)
             # inclusions: p = a q b over every embedding of q in p
@@ -118,7 +136,7 @@ def nc_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
                 w, uu, vv = lcm_circ(f.lhs, agb)
                 rec = _record(f, g, f_id, g_id, KIND_INCLUSION, p, q,
                               a, b, Context(ident, ident, uu),
-                              Context(a, b, vv), w, order)
+                              Context(a, b, vv), w, f.lhs, agb)
                 if rec is not None:
                     out.append(rec)
     return out
@@ -126,9 +144,14 @@ def nc_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
 
 def compositions(f: Relation, g: Relation, f_id: int, g_id: int,
                  commutative: bool, order: RigOrder, ident) -> list:
+    """Records of the ordered pair (f, g) whose S-polynomial is nonzero.
+
+    The order is the one the relations were oriented by; every
+    comparison here is a sort-key comparison, so it is not consulted.
+    """
     if commutative:
-        return comm_compositions(f, g, f_id, g_id, order, ident)
-    return nc_compositions(f, g, f_id, g_id, order, ident)
+        return comm_compositions(f, g, f_id, g_id, ident)
+    return nc_compositions(f, g, f_id, g_id, ident)
 
 
 def is_trivial(h: Polynomial, system: System, w: RigMonomial) -> bool:

@@ -180,15 +180,6 @@ class ReductionTrace:
         return acc
 
 
-def elt(f: Polynomial, occ: Occurrence, system: System) -> Polynomial:
-    """One elimination of the leading term of f."""
-    lead, alpha = system.order.leading(f)
-    rel = system.relations[occ.rel_id]
-    if occ.context.apply_mon(rel.lhs) != lead:
-        raise ReductionError("occurrence does not match the leading monomial")
-    return f.sub(occ.context.apply(rel.poly()).scale(alpha))
-
-
 def normal_form(f: Polynomial, system: System, max_steps: int = 10 ** 6):
     """Fully reduce f; returns (normal form, trace).
 

@@ -9,18 +9,9 @@ and hashable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*\Z")
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """A generator with its rank in the alphabet precedence."""
-
-    name: str
-    precedence: int
 
 
 class Alphabet:
@@ -57,9 +48,6 @@ class Alphabet:
 
     def name(self, rank):
         return self.names[rank]
-
-    def symbols(self):
-        return [Symbol(n, i) for i, n in enumerate(self.names)]
 
     def __repr__(self):
         return f"Alphabet({list(self.names)!r})"
@@ -255,10 +243,6 @@ class RigMonomial:
 
     def max_component_degree(self):
         return max((b.degree() for b, _ in self.runs), default=0)
-
-    def measures(self):
-        return (self.circ_len(), self.total_degree(),
-                frozenset(self.distinct_components()))
 
     def circ(self, other):
         """Multiset union (the semiring addition on monomials)."""

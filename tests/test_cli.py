@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import rigbasis
 from rigbasis import parse_expr, parse_presentation, preset
 from rigbasis.cli import main
 
@@ -146,6 +148,22 @@ def test_eq_unknown_on_truncated(chain_file, capsys):
     assert "?=" in out
 
 
+def test_eq_json(blass_file, chain_file, capsys):
+    # same exit codes as the plain output
+    cases = [(blass_file, "x^7", "x", 0,
+              {"verdict": "Equal", "status": "Complete", "nf": ["x", "x"]}),
+             (blass_file, "x^3", "x", 1,
+              {"verdict": "Distinct", "status": "Complete",
+               "nf": ["x^3", "x"]}),
+             (chain_file, "1 + x^30", "x^30", 2,
+              {"verdict": "Unknown", "status": "Truncated",
+               "nf": ["1 + x^30", "x^30"]})]
+    for path, left, right, want_code, want in cases:
+        code, out, _ = run(capsys, "eq", path, left, right, "--json")
+        assert code == want_code
+        assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_irr_lists_family(blass_file, capsys):
     code, out, _ = run(capsys, "irr", blass_file, "--max-deg", "3",
                        "--max-len", "2")
@@ -254,8 +272,12 @@ def test_cli_output_is_byte_deterministic(blass_file):
          "--max-deg", "4", "--max-len", "3"],
         [sys.executable, "-m", "rigbasis.cli", "preset", "znc"],
     ]
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(rigbasis.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cmd in cmds:
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=env)
+        b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.stdout == b.stdout and a.stdout
         assert a.returncode == b.returncode

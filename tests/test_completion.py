@@ -232,6 +232,52 @@ def test_stats_shape():
     assert rep.stats["basis_size"] == len(rep.basis.active())
 
 
+_STAT_KEYS = ("pairs_examined", "records_queued", "relations_added",
+              "relations_retired", "truncation_skips",
+              "max_ambiguity_degree_seen", "basis_size")
+
+
+@pytest.mark.parametrize("text, limits, stats, basis", [
+    ("mode: commutative\nvars: x y\nrel: x + y = 1 + x\n",
+     CompletionLimits(6, 100), (100, 522, 8, 2, 132, 8, 6), [
+         "x + y = 1 + x",
+         "x + x^2 + y^2 = 1 + x + x^2",
+         "x + x^2 + x^3 + y^3 = 1 + x + x^2 + x^3",
+         "x + x^2 + x^2 y + y^3 = 1 + x + x^2 + x^2 y",
+         "x + x^2 + x^3 + x^3 y + y^4 = 1 + x + x^2 + x^3 + x^3 y",
+         "x + x^2 + x^2 y + x^3 y + y^4 = 1 + x + x^2 + x^2 y + x^3 y"]),
+    ("mode: noncommutative\nvars: x y\nrel: 1 + y^2 = x y\n",
+     CompletionLimits(4, 100), (100, 130, 15, 0, 1134, 7, 15), [
+         "1 + y^2 = x y",
+         "x + y x y = x^2 y",
+         "x y x + y x y = y^2 x + x^2 y",
+         "x y^2 = y x y",
+         "x^2 + x y + y x^2 y = y x + x^3 y",
+         "x y + x y x^2 + y x^2 y = y x + y^2 x^2 + x^3 y",
+         "x y + x^2 y x + y x^2 y = y x + y x y x + x^3 y",
+         "y x + x y x y = x y + y x^2 y",
+         "y x y x + x y x y = x y + y^3 x + y x^2 y",
+         "x y x^2 + y x^2 y + x y x y = y^2 x^2 + x^3 y + y x^2 y",
+         "x^2 y x + y^2 x y = x^2 + y^3 x + y x^2 y",
+         "x y + y^4 = 1 + y^2 x y",
+         "y x + x^3 y + y^4 = 1 + x^2 + y x^2 y + y^2 x y",
+         "x^2 y x + x^3 y + y^4 = 1 + x^2 + x^2 + y^3 x + y x^2 y "
+         "+ y^2 x y",
+         "y x y x + x^3 y + y^4 = 1 + x^2 + y^3 x + y x^2 y + y^2 x y"]),
+])
+def test_step_capped_search_is_pinned(text, limits, stats, basis):
+    # the exact counters and truncated basis of a step-capped run pin
+    # the search itself: which records are built, queued and examined,
+    # in which order
+    pres = parse_presentation(text)
+    rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                   order=pres.order(), limits=limits)
+    assert rep.status == STATUS_TRUNCATED
+    assert rep.stats == dict(zip(_STAT_KEYS, stats))
+    assert [render_relation(r, pres.alphabet)
+            for r in rep.basis.active_relations()] == basis
+
+
 def test_system_from_pairs_orients():
     pres = BLASS.presentation
     system = system_from_pairs([(parse_expr("x", pres),

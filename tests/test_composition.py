@@ -10,18 +10,22 @@ from rigbasis import (
     KIND_COMM,
     KIND_INCLUSION,
     KIND_INTERSECTION,
+    THETA,
     CommMonomial,
+    Context,
     Polynomial,
     Relation,
     RigMonomial,
     Word,
     compositions,
+    lcm_circ,
     orient_pair,
     parse_expr,
     parse_presentation,
     preset,
     triviality,
 )
+from rigbasis.composition import _record
 
 FL = preset("fiore-leinster")
 BLASS = preset("blass")
@@ -125,6 +129,32 @@ def test_spoly_below_ambiguity_nc():
                 continue
             lead, _ = order.leading(rec.spoly)
             assert order.less(lead, rec.ambiguity)
+            assert rec.ctx_f.apply_mon(f.lhs) == rec.ambiguity
+            assert rec.ctx_g.apply_mon(g.lhs) == rec.ambiguity
+            diff = rec.ctx_f.apply(f.poly()).sub(rec.ctx_g.apply(g.poly()))
+            assert rec.spoly.terms == diff.neg().terms or \
+                rec.spoly.terms == diff.terms
+
+
+def test_record_self_checks_reject_bad_records():
+    # a pad that misses the ambiguity, and an ambiguity the S-pair is
+    # not below, are both refused
+    pres = BLASS.presentation
+    system = pres.system()
+    (_, rel), = system.active()
+    ident = system.ident
+    x = CommMonomial.variable(0, 1)
+    w, uu, vv = lcm_circ(rel.lhs.scaled(x), rel.lhs)
+    ctx_f, ctx_g = Context(x, ident, uu), Context(ident, ident, vv)
+    args = (rel, rel, 0, 0, KIND_COMM, None, None, x, ident)
+    rec = _record(*args, ctx_f, ctx_g, w, rel.lhs.scaled(x), rel.lhs)
+    assert rec.spoly == ctx_f.apply(rel.poly()).sub(ctx_g.apply(rel.poly()))
+    with pytest.raises(AssertionError, match="do not meet"):
+        _record(*args, ctx_f, ctx_g, w, rel.lhs, rel.lhs)
+    low = parse_expr("x", pres)
+    with pytest.raises(AssertionError, match="not below"):
+        _record(*args, Context(x, ident, THETA), Context(ident, ident, THETA),
+                low, low, low)
 
 
 def _nc_relation(pres, lhs, rhs):
