@@ -13,7 +13,7 @@ from .rewrite import (Context, Occurrence, ReductionError, ReductionTrace,
                       Relation, System, TraceStep, base_monomials_up_to,
                       enum_irr, find_occurrences, first_occurrence,
                       is_irreducible, normal_form, normal_form_monomial,
-                      orient_pair, pattern_occurrences)
+                      orient_pair, pattern_occurrences, split_normal_form)
 from .composition import (CompositionRecord, KIND_COMM, KIND_INCLUSION,
                           KIND_INTERSECTION, compositions, is_trivial,
                           triviality)

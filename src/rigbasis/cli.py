@@ -110,7 +110,7 @@ def cmd_verify(args):
     for i, ri in act:
         for j, rj in act:
             for rec in compositions(ri, rj, i, j, system.commutative,
-                                    system.order, system.ident):
+                                    system.ident):
                 total += 1
                 if args.list_ambiguities:
                     print(f"(#{rec.f_id}, #{rec.g_id}) {rec.kind} "

@@ -19,7 +19,7 @@ from heapq import heappush, heappop
 from .terms import Polynomial, RigMonomial
 from .ordering import RigOrder, default_keyword, order_for
 from .rewrite import (Relation, System, normal_form, normal_form_monomial,
-                      orient_pair, pattern_occurrences)
+                      orient_pair, pattern_occurrences, split_normal_form)
 from .composition import compositions, triviality
 
 STATUS_COMPLETE = "Complete"
@@ -102,8 +102,7 @@ class _Completer:
                 pairs.append((j, new_id))
         for fi, gi in pairs:
             recs = compositions(self.log[fi], self.log[gi], fi, gi,
-                                self.commutative, self.order,
-                                self.snapshot().ident)
+                                self.commutative, self.snapshot().ident)
             for rec in recs:
                 d = rec.ambiguity.max_component_degree()
                 if d > self.stats["max_ambiguity_degree_seen"]:
@@ -251,7 +250,7 @@ def verify(system: System):
     for i, ri in act:
         for j, rj in act:
             for rec in compositions(ri, rj, i, j, system.commutative,
-                                    system.order, system.ident):
+                                    system.ident):
                 ok, wit = triviality(rec.spoly, system, rec.ambiguity)
                 if not ok:
                     witnesses.append((rec, wit))
@@ -263,15 +262,19 @@ def decide_eq(u: RigMonomial, v: RigMonomial, report: CompletionReport):
 
     Returns (verdict, nf_u, nf_v).  Equal normal forms certify the
     congruence whatever the status; differing ones refute it only when
-    the basis is Complete.
+    the basis is Complete.  A Complete basis is confluent, so the normal
+    forms are computed part by part (split_normal_form, one memo shared
+    by u and v for this call); a Truncated one keeps the direct path,
+    whose result depends on the rewrite strategy.
     """
+    if report.status == STATUS_COMPLETE:
+        memo = {}
+        nu = split_normal_form(u, report.basis, memo)
+        nv = split_normal_form(v, report.basis, memo)
+        return (EQUAL if nu == nv else DISTINCT), nu, nv
     nu = normal_form_monomial(u, report.basis)
     nv = normal_form_monomial(v, report.basis)
-    if nu == nv:
-        return EQUAL, nu, nv
-    if report.status == STATUS_COMPLETE:
-        return DISTINCT, nu, nv
-    return UNKNOWN, nu, nv
+    return (EQUAL if nu == nv else UNKNOWN), nu, nv
 
 
 def system_from_pairs(pairs, commutative, alphabet,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .terms import Polynomial, RigMonomial, lcm_circ
 from .rewrite import Context, Relation, System, normal_form
-from .ordering import RigOrder
 
 KIND_COMM = "commutative-pair"
 KIND_INTERSECTION = "intersection"
@@ -143,11 +142,11 @@ def nc_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
 
 
 def compositions(f: Relation, g: Relation, f_id: int, g_id: int,
-                 commutative: bool, order: RigOrder, ident) -> list:
+                 commutative: bool, ident) -> list:
     """Records of the ordered pair (f, g) whose S-polynomial is nonzero.
 
-    The order is the one the relations were oriented by; every
-    comparison here is a sort-key comparison, so it is not consulted.
+    Every comparison here is a sort-key comparison, so the order the
+    relations were oriented by is not needed.
     """
     if commutative:
         return comm_compositions(f, g, f_id, g_id, ident)

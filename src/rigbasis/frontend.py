@@ -135,10 +135,16 @@ class _ExprParser:
                 if m.is_theta:
                     raise PresentationError("0^0 is undefined")
                 return self.ident_mono
-            acc = m
-            for _ in range(n - 1):
-                acc = acc.times(m)
-            return acc
+            # repeated squaring; times is associative, so the result is
+            # the same as n - 1 successive products
+            acc = None
+            while True:
+                if n & 1:
+                    acc = m if acc is None else acc.times(m)
+                n >>= 1
+                if not n:
+                    return acc
+                m = m.times(m)
         return m
 
     def atom(self) -> RigMonomial:

@@ -61,7 +61,7 @@ class RigOrder:
         return b.skey
 
     def key(self, m):
-        """Comparison key for a rig monomial (descending component keys)."""
+        """Comparison key for a rig monomial (its runs, descending)."""
         return m.skey
 
     def compare(self, m, n):

@@ -4,6 +4,8 @@ A relation is an oriented pair of rig monomials (greater side first).
 Rewriting replaces a context-applied occurrence of the greater side by
 the same context applied to the smaller side.  Every reduction returns
 a replayable trace: f = sum of coeff * context[relation] + normal_form.
+split_normal_form, for confluent systems only, assembles a normal form
+from the normal forms of parts and returns no trace.
 """
 
 from __future__ import annotations
@@ -224,6 +226,64 @@ def normal_form_monomial(m: RigMonomial, system: System,
     if coeff != 1:
         raise ReductionError("monomial reduction changed the coefficient")
     return mono
+
+
+def _split_base(b):
+    """b = b1 . b2 with deg b1 = deg b / 2: by degree for a commutative
+    exponent vector, at the midpoint for a word."""
+    if isinstance(b, Word):
+        half = len(b.letters) // 2
+        return Word(b.letters[:half]), Word(b.letters[half:])
+    left = b.degree() // 2
+    exps = []
+    for e in b.exps:
+        take = min(e, left)
+        exps.append(take)
+        left -= take
+    b1 = CommMonomial(tuple(exps))
+    return b1, b.div(b1)
+
+
+def split_normal_form(m: RigMonomial, system: System,
+                      memo: dict) -> RigMonomial:
+    """Normal form of m computed part by part; system must be confluent.
+
+    Under a confluent system nf is a function of the congruence class,
+    and the congruence respects both operations, so
+    nf(a o b) = nf(nf(a) o nf(b)) and nf(b1 . b2) = nf(nf(b1) . nf(b2)).
+    The runs are split in half, a single run's multiplicity is halved,
+    and a single base monomial of degree >= 2 is split by degree; only
+    the leaves (degree <= 1) and the combined halves reduce directly.
+    memo maps monomials to their normal forms; pass one dict per batch
+    of inputs.  The result equals normal_form_monomial(m, system), but
+    no single trace leads to it, so a non-confluent system (where the
+    normal form depends on the strategy) needs the direct path.
+    """
+    got = memo.get(m)
+    if got is not None:
+        return got
+    runs = m.runs
+    whole = m
+    if len(runs) > 1:
+        half = len(runs) // 2
+        parts = RigMonomial(runs[:half]), RigMonomial(runs[half:])
+        join = RigMonomial.circ
+    elif runs and runs[0][1] > 1:
+        base, k = runs[0]
+        parts = (RigMonomial.singleton(base, k // 2),
+                 RigMonomial.singleton(base, k - k // 2))
+        join = RigMonomial.circ
+    elif runs and runs[0][0].degree() > 1:
+        parts = [RigMonomial.singleton(b) for b in _split_base(runs[0][0])]
+        join = RigMonomial.times
+    else:
+        parts = None
+    if parts:
+        a, b = (split_normal_form(p, system, memo) for p in parts)
+        whole = join(a, b)
+    nf = normal_form_monomial(whole, system)
+    memo[m] = nf
+    return nf
 
 
 def base_monomials_up_to(alphabet, commutative, max_degree):

@@ -163,9 +163,14 @@ class RigMonomial:
     """Finite multiset of base monomials, stored as sorted run-length pairs.
 
     runs is a tuple of (base, multiplicity) with bases strictly ascending
-    by skey.  The empty tuple is theta.  skey expands the multiset in
-    descending order; comparing skeys lexicographically realizes the
-    multiset extension of the base order (a proper prefix is smaller).
+    by skey.  The empty tuple is theta.  skey is the flat tuple
+    (b1.skey, m1, b2.skey, m2, ...) over the runs in descending order,
+    so its length is twice the number of runs.  Base keys sit at even
+    positions and multiplicities at odd ones; comparing skeys
+    lexicographically realizes the multiset extension of the base order
+    (a proper prefix is smaller): at the first differing run, a greater
+    base wins, and with equal bases the larger multiplicity wins, because
+    the other multiset continues with a smaller base or ends.
     """
 
     __slots__ = ("runs", "skey", "_hash")
@@ -189,7 +194,8 @@ class RigMonomial:
             runs = tuple(sorted(acc.items(), key=lambda r: r[0].skey))
         skey = []
         for b, m in reversed(runs):
-            skey.extend([b.skey] * m)
+            skey.append(b.skey)
+            skey.append(m)
         self.runs = runs
         self.skey = tuple(skey)
         self._hash = hash(("r", self.skey))

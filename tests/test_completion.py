@@ -4,6 +4,7 @@ problem interface."""
 import random
 
 import pytest
+from conftest import rand_mono
 
 from rigbasis import (
     STATUS_COMPLETE,
@@ -14,11 +15,14 @@ from rigbasis import (
     complete,
     decide_eq,
     minimalize,
+    normal_form_monomial,
     parse_expr,
     parse_presentation,
     preset,
+    preset_names,
     reduce_system,
     render_relation,
+    split_normal_form,
     system_from_pairs,
     verify,
 )
@@ -144,6 +148,66 @@ def test_decide_eq_equal_distinct_unknown():
     verdict, _, _ = decide_eq(parse_expr("1 + x^3", cpres),
                               parse_expr("x^3", cpres), trep)
     assert verdict == "Equal"
+
+
+def _rand_inputs(rng, pres, count):
+    """Seeded monomials with wide runs, multiplicities and tall bases:
+    random monomials, their squares and their products with a power."""
+    out = []
+    nvars = len(pres.alphabet)
+    for _ in range(count):
+        m = rand_mono(rng, nvars, pres.commutative, max_len=4, max_deg=5)
+        pick = rng.randrange(3)
+        if pick == 1:
+            m = m.times(m)
+        elif pick == 2:
+            name = rng.choice(pres.alphabet.names)
+            m = m.times(parse_expr(f"{name}^{rng.randint(2, 12)}", pres))
+        out.append(m)
+    return out
+
+
+def test_split_normal_form_matches_direct():
+    # every preset whose default completion is Complete, commutative
+    # (fiore-leinster, blass, nat) and noncommutative (znc)
+    rng = random.Random(131)
+    modes = set()
+    for name in preset_names():
+        pres = preset(name).presentation
+        if preset(name).basis_pairs is None:
+            continue
+        rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                       order=pres.order())
+        assert rep.status == STATUS_COMPLETE
+        modes.add(pres.commutative)
+        memo = {}
+        for m in _rand_inputs(rng, pres, 60):
+            assert (split_normal_form(m, rep.basis, memo)
+                    == normal_form_monomial(m, rep.basis))
+    assert modes == {True, False}
+
+
+def test_decide_eq_keeps_direct_path_when_truncated():
+    # on a truncated basis the normal form depends on the strategy, and
+    # decide_eq must return the direct path's normal forms
+    pres = parse_presentation("mode: commutative\nvars: x y\n"
+                              "rel: x + y = 1 + x\n")
+    rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                   order=pres.order(), limits=CompletionLimits(4, 50))
+    assert rep.status == STATUS_TRUNCATED
+    # (x + y)^4 splits to another irreducible monomial than the direct
+    # path reaches: the direct path leaves the two Unknown
+    u = parse_expr("(x + y)^4", pres)
+    split = split_normal_form(u, rep.basis, {})
+    direct = normal_form_monomial(u, rep.basis)
+    assert split != direct
+    assert decide_eq(u, split, rep) == ("Unknown", direct, split)
+    inputs = _rand_inputs(random.Random(132), pres, 40)
+    for u, v in zip(inputs, inputs[1:]):
+        nu = normal_form_monomial(u, rep.basis)
+        nv = normal_form_monomial(v, rep.basis)
+        verdict = "Equal" if nu == nv else "Unknown"
+        assert decide_eq(u, v, rep) == (verdict, nu, nv)
 
 
 def test_seven_trees_in_one():

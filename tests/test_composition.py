@@ -35,7 +35,7 @@ def _self_records(pre):
     system = pre.presentation.system()
     (rid, rel), = system.active()
     return system, compositions(rel, rel, rid, rid, system.commutative,
-                                system.order, system.ident)
+                                system.ident)
 
 
 def test_tree_equation_self_overlaps():
@@ -97,7 +97,7 @@ def test_spoly_sits_below_ambiguity():
             continue
         f = orient_pair(a, b, order)
         g = orient_pair(c, d, order)
-        for rec in compositions(f, g, 0, 1, True, order, ident):
+        for rec in compositions(f, g, 0, 1, True, ident):
             if rec.spoly.is_zero():
                 continue
             lead, _ = order.leading(rec.spoly)
@@ -124,7 +124,7 @@ def test_spoly_below_ambiguity_nc():
             continue
         f = orient_pair(ms[0], ms[1], order)
         g = orient_pair(ms[2], ms[3], order)
-        for rec in compositions(f, g, 0, 1, False, order, ident):
+        for rec in compositions(f, g, 0, 1, False, ident):
             if rec.spoly.is_zero():
                 continue
             lead, _ = order.leading(rec.spoly)
@@ -165,12 +165,11 @@ def _nc_relation(pres, lhs, rhs):
 def test_nc_intersection_and_inclusion_kinds():
     pres = parse_presentation(
         "mode: noncommutative\nvars: a b\norder: deglenrlex\nrel: a = b\n")
-    order = pres.order()
     ident = Word(())
     # suffix of a b meets prefix of b a inside a b a
     f = _nc_relation(pres, "a b", "a")
     g = _nc_relation(pres, "b a", "b")
-    recs = compositions(f, g, 0, 1, False, order, ident)
+    recs = compositions(f, g, 0, 1, False, ident)
     kinds = {r.kind for r in recs}
     assert KIND_INTERSECTION in kinds
     aba = parse_expr("a b a", pres)
@@ -178,7 +177,7 @@ def test_nc_intersection_and_inclusion_kinds():
     # a b a contains b: one word inside the other
     h = _nc_relation(pres, "a b a", "b b")
     k = _nc_relation(pres, "b", "a")
-    recs2 = compositions(h, k, 0, 1, False, order, ident)
+    recs2 = compositions(h, k, 0, 1, False, ident)
     assert {r.kind for r in recs2} >= {KIND_INCLUSION}
     assert any(r.ambiguity == parse_expr("a b a", pres) for r in recs2)
 
@@ -187,11 +186,10 @@ def test_nc_inclusion_with_empty_outer_factors():
     # p equals q: the embedding with both outer words empty still counts
     pres = parse_presentation(
         "mode: noncommutative\nvars: a b\norder: deglenrlex\nrel: a = b\n")
-    order = pres.order()
     ident = Word(())
     f = _nc_relation(pres, "a b + a", "a")
     g = _nc_relation(pres, "a b", "b")
-    recs = compositions(f, g, 0, 1, False, order, ident)
+    recs = compositions(f, g, 0, 1, False, ident)
     inc = [r for r in recs if r.kind == KIND_INCLUSION]
     assert any(r.a == Word(()) and r.b == Word(()) for r in inc)
 
@@ -200,11 +198,10 @@ def test_commutative_pairs_include_disjoint_leads():
     # no coprimality shortcut: x^2 against y^2 still forms a pair
     pres = parse_presentation(
         "mode: commutative\nvars: x y\norder: wtlex\nrel: x = y\n")
-    order = pres.order()
     ident = CommMonomial.identity(2)
     f = _comm_rel(pres, "x^2", "x")
     g = _comm_rel(pres, "y^2", "y")
-    recs = compositions(f, g, 0, 1, True, order, ident)
+    recs = compositions(f, g, 0, 1, True, ident)
     assert recs
     assert any(r.ambiguity == parse_expr("x^2 y^2", pres) for r in recs)
 

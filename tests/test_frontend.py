@@ -63,6 +63,17 @@ def test_expression_syntax():
     assert parse_expr("x^0", COMM) == parse_expr("1", COMM)
 
 
+def test_power_equals_repeated_product():
+    for pres, texts in ((COMM, ("x", "y^2", "1 + x y", "x + y^2", "0")),
+                        (NC, ("a", "b a", "1 + a b", "a + b a", "0"))):
+        for text in texts:
+            e = parse_expr(text, pres)
+            acc = e
+            for n in range(1, 10):
+                assert parse_expr(f"({text})^{n}", pres) == acc
+                acc = acc.times(e)
+
+
 def test_expression_errors():
     for bad in ("x +", "x ^ y", "(x", "x)", "2 x", "x - y", "0^0",
                 "z", "x ^", "", "x & y"):

@@ -82,6 +82,62 @@ def test_order_agrees_with_reference_comparator():
             assert (order.compare(m, n) == 0) == (m == n)
 
 
+def _rand_runs_mono(rng, bases):
+    return RigMonomial(tuple((rng.choice(bases), rng.randint(1, 4))
+                             for _ in range(rng.randint(0, 3))))
+
+
+def test_order_agrees_with_reference_on_multiplicities():
+    # few bases and multiplicities up to 4, so equal bases with unequal
+    # multiplicities meet often
+    rng = random.Random(208)
+    for commutative, keyword in ((True, "wtlex"), (False, "deglenrlex")):
+        order = order_for(keyword, commutative)
+        for _ in range(50):
+            bases = [rand_base(rng, 2, commutative, max_deg=2)
+                     for _ in range(3)]
+            for _ in range(40):
+                m = _rand_runs_mono(rng, bases)
+                n = _rand_runs_mono(rng, bases)
+                assert order.less(m, n) == _reference_less(m, n, commutative)
+                assert (order.compare(m, n) == 0) == (m == n)
+
+
+def test_multiplicity_and_prefix_cases():
+    for commutative, keyword, b, c in (
+            (True, "wtlex", CommMonomial((2,)), CommMonomial((1,))),
+            (False, "deglenrlex", Word((0, 1)), Word((1,)))):
+        order = order_for(keyword, commutative)
+        assert order.less(RigMonomial.singleton(c), RigMonomial.singleton(b))
+        b2, b3 = RigMonomial.singleton(b, 2), RigMonomial.singleton(b, 3)
+        b2c = b2.circ(RigMonomial.singleton(c))
+        b2c3 = b2.circ(RigMonomial.singleton(c, 3))
+        # ascending: 2b is a proper prefix of 2b + c, and 2b + c loses to
+        # 3b at its third component, c < b, whatever c's multiplicity
+        chain = [THETA, b2, b2c, b2c3, b3]
+        for i, m in enumerate(chain):
+            for j, n in enumerate(chain):
+                assert order.less(m, n) == (i < j)
+                assert _reference_less(m, n, commutative) == (i < j)
+
+
+def test_key_length_is_twice_the_runs():
+    rng = random.Random(209)
+    for commutative in (True, False):
+        for _ in range(300):
+            m = rand_mono(rng, 2, commutative, max_len=5)
+            m = m.circ(m)
+            assert len(m.skey) == 2 * len(m.runs)
+    # (1 + x)^18: 19 runs and 2^18 components, a key of 38 items
+    one_plus_x = RigMonomial.from_components(
+        [CommMonomial((0,)), CommMonomial((1,))])
+    m = one_plus_x
+    for _ in range(17):
+        m = m.times(one_plus_x)
+    assert len(m.runs) == 19 and m.circ_len() == 2 ** 18
+    assert len(m.skey) == 38
+
+
 def test_order_is_total_and_transitive():
     rng = random.Random(202)
     for commutative, keyword in ((True, "wtlex"), (False, "deglenrlex")):
