@@ -19,7 +19,9 @@ from heapq import heappush, heappop
 from .terms import Polynomial, RigMonomial
 from .ordering import RigOrder, default_keyword, order_for
 from .rewrite import (Relation, System, normal_form, normal_form_monomial,
-                      orient_pair, pattern_occurrences, split_normal_form)
+                      occurs, orient_pair, split_normal_form)
+# unused here, but perfbench/tracer.py wraps it at this lookup site by name
+from .rewrite import pattern_occurrences  # noqa: F401
 from .composition import compositions, triviality
 
 STATUS_COMPLETE = "Complete"
@@ -135,10 +137,8 @@ class _Completer:
                 if not alive or j == new_id:
                     continue
                 old = self.log[j]
-                if (pattern_occurrences(old.lhs, rel.lhs, self.commutative,
-                                        ident)
-                        or pattern_occurrences(old.rhs, rel.lhs,
-                                               self.commutative, ident)):
+                if (occurs(old.lhs, rel.lhs, self.commutative, ident)
+                        or occurs(old.rhs, rel.lhs, self.commutative, ident)):
                     self.active[j] = False
                     self.snapshot_cache = None
                     self.stats["relations_retired"] += 1
@@ -196,13 +196,8 @@ def minimalize(system: System) -> System:
                   key=lambda r: (r.lhs.skey, r.rhs.skey))
     kept = []
     for rel in rels:
-        hit = False
-        for k in kept:
-            if pattern_occurrences(rel.lhs, k.lhs, system.commutative,
-                                   system.ident):
-                hit = True
-                break
-        if not hit:
+        if not any(occurs(rel.lhs, k.lhs, system.commutative, system.ident)
+                   for k in kept):
             kept.append(rel)
     return System(system.commutative, system.alphabet, system.order,
                   tuple(kept))

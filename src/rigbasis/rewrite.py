@@ -4,6 +4,11 @@ A relation is an oriented pair of rig monomials (greater side first).
 Rewriting replaces a context-applied occurrence of the greater side by
 the same context applied to the smaller side.  Every reduction returns
 a replayable trace: f = sum of coeff * context[relation] + normal_form.
+Occurrence search is first-fit: candidate cofactors come in key order,
+a fit test checks each against the target's run multiplicities without
+building the scaled pattern, and only the site used becomes a Context.
+A rewrite step is a one-term update: the target's coefficient moves to
+context[rhs] and every other term stays as it is.
 split_normal_form, for confluent systems only, assembles a normal form
 from the normal forms of parts and returns no trace.
 """
@@ -11,8 +16,9 @@ from the normal forms of parts and returns no trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .terms import CommMonomial, Polynomial, RigMonomial, Word
+from .terms import ZERO, CommMonomial, Polynomial, RigMonomial, Word
 from .ordering import RigOrder
 
 
@@ -111,33 +117,91 @@ class System:
                       [i for i in self.active_ids if i != rel_id])
 
 
+def _cofactor_key(ab):
+    return (ab[0].skey, ab[1].skey)
+
+
+def _candidates(m: RigMonomial, pattern: RigMonomial, commutative: bool,
+                ident):
+    """Cofactor pairs (a, b) that place the pattern's greatest component
+    inside some component of m, lazily, in (a, b) key order.
+
+    Any match must put that anchor inside a component c = a . anchor . b,
+    which bounds the candidates; (a, b) determines c, so they are
+    distinct.  Commutative cofactors come straight from m's ascending
+    runs: a = c / anchor, and subtracting the same exponent vector from
+    every c keeps the order of their (degree, exponents) keys.
+    Noncommutative ones are collected and sorted.
+    """
+    anchor = pattern.greatest_component()
+    if commutative:
+        for c, _ in m.runs:
+            if anchor.divides(c):
+                yield c.div(anchor), ident
+    else:
+        yield from sorted((ab for c, _ in m.runs
+                           for ab in c.occurrences(anchor)),
+                          key=_cofactor_key)
+
+
+def _run_counts(m: RigMonomial, commutative: bool) -> dict:
+    """base -> multiplicity over the runs of m, keyed by the base's
+    exponent vector (commutative) or letter tuple (noncommutative)."""
+    if commutative:
+        return {b.exps: k for b, k in m.runs}
+    return {b.letters: k for b, k in m.runs}
+
+
+def _fits(counts: dict, pattern: RigMonomial, a, b,
+          commutative: bool) -> bool:
+    """Whether a . pattern . b is a submultiset of the monomial whose
+    _run_counts are counts, without building the scaled monomial.
+
+    Multiplying by (a, b) is injective on base monomials, so the scaled
+    runs stay distinct and each can be checked on its own.
+    """
+    if commutative:
+        ae = a.exps
+        for base, k in pattern.runs:
+            if counts.get(tuple(map(add, ae, base.exps)), 0) < k:
+                return False
+        return True
+    al, bl = a.letters, b.letters
+    for base, k in pattern.runs:
+        if counts.get(al + base.letters + bl, 0) < k:
+            return False
+    return True
+
+
+def _context(m: RigMonomial, pattern: RigMonomial, a, b) -> Context:
+    return Context(a, b, m.difference(pattern.scaled(a, b)))
+
+
 def pattern_occurrences(m: RigMonomial, pattern: RigMonomial,
                         commutative: bool, ident) -> list[Context]:
     """All contexts c with c[pattern] = m, ordered by (left, right) key.
 
-    The search anchors on the greatest component of the pattern: any
-    match must place it inside some component of m, which bounds the
-    candidate cofactors.  A theta pattern matches everything with the
+    Each anchor cofactor is checked against m's run multiplicities
+    (_fits) before anything is built; a Context is built only for the
+    cofactors that fit.  A theta pattern matches everything with the
     whole target as pad.
     """
     if pattern.is_theta:
         return [Context(ident, ident, m)]
-    anchor = pattern.greatest_component()
-    cands = set()
-    if commutative:
-        for c in m.distinct_components():
-            if anchor.divides(c):
-                cands.add((c.div(anchor), ident))
-    else:
-        for c in m.distinct_components():
-            for a, b in c.occurrences(anchor):
-                cands.add((a, b))
-    out = []
-    for a, b in sorted(cands, key=lambda ab: (ab[0].skey, ab[1].skey)):
-        req = pattern.scaled(a, b)
-        if m.includes(req):
-            out.append(Context(a, b, m.difference(req)))
-    return out
+    counts = _run_counts(m, commutative)
+    return [_context(m, pattern, a, b)
+            for a, b in _candidates(m, pattern, commutative, ident)
+            if _fits(counts, pattern, a, b, commutative)]
+
+
+def occurs(m: RigMonomial, pattern: RigMonomial, commutative: bool,
+           ident) -> bool:
+    """Whether some context c has c[pattern] = m; stops at the first fit."""
+    if pattern.is_theta:
+        return True
+    counts = _run_counts(m, commutative)
+    return any(_fits(counts, pattern, a, b, commutative)
+               for a, b in _candidates(m, pattern, commutative, ident))
 
 
 def find_occurrences(m: RigMonomial, system: System) -> list[Occurrence]:
@@ -150,11 +214,22 @@ def find_occurrences(m: RigMonomial, system: System) -> list[Occurrence]:
 
 
 def first_occurrence(m: RigMonomial, system: System):
+    """The first occurrence in (relation index, left, right) order, or None.
+
+    First-fit: relations are tried in index order and each one's
+    candidates in key order, and only the first fit becomes a Context;
+    this is the first entry of find_occurrences, found without building
+    the others.
+    """
+    commutative, ident = system.commutative, system.ident
+    counts = _run_counts(m, commutative)
     for i, rel in system.active():
-        ctxs = pattern_occurrences(m, rel.lhs, system.commutative,
-                                   system.ident)
-        if ctxs:
-            return Occurrence(i, ctxs[0])
+        pattern = rel.lhs
+        if pattern.is_theta:
+            return Occurrence(i, Context(ident, ident, m))
+        for a, b in _candidates(m, pattern, commutative, ident):
+            if _fits(counts, pattern, a, b, commutative):
+                return Occurrence(i, _context(m, pattern, a, b))
     return None
 
 
@@ -188,9 +263,13 @@ def normal_form(f: Polynomial, system: System, max_steps: int = 10 ** 6):
     Repeatedly eliminates the greatest reducible support monomial, using
     the first occurrence in (relation index, left, right) order.  The
     eliminated monomials strictly decrease, so the trace satisfies the
-    strict-descent shape.
+    strict-descent shape.  A step is a one-term update: the context maps
+    the relation's lhs to the target itself, so subtracting
+    alpha * context[lhs - rhs] removes the target's term and adds alpha
+    to the coefficient of context[rhs]; no other term changes.
     """
-    work = f
+    work = Polynomial()
+    work.terms = terms = dict(f.terms)
     steps = []
     known_irr = set()
     while True:
@@ -208,9 +287,13 @@ def normal_form(f: Polynomial, system: System, max_steps: int = 10 ** 6):
             break
         if len(steps) >= max_steps:
             raise ReductionError("reduction budget exhausted")
-        alpha = work.terms[target]
-        rel = system.relations[occ.rel_id]
-        work = work.sub(occ.context.apply(rel.poly()).scale(alpha))
+        alpha = terms.pop(target)
+        out = occ.context.apply_mon(system.relations[occ.rel_id].rhs)
+        acc = terms.get(out, ZERO) + alpha
+        if acc:
+            terms[out] = acc
+        else:
+            del terms[out]
         steps.append(TraceStep(alpha, occ.rel_id, occ.context))
     return work, ReductionTrace(tuple(steps))
 

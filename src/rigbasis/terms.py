@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import le, sub
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*\Z")
 
@@ -146,14 +147,18 @@ class CommMonomial:
         return self.skey[0]
 
     def mul(self, other):
+        if not self.skey[0]:
+            return other
+        if not other.skey[0]:
+            return self
         return CommMonomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def div(self, other):
         """Quotient self / other; caller guarantees divisibility."""
-        return CommMonomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return CommMonomial(tuple(map(sub, self.exps, other.exps)))
 
     def lcm(self, other):
         return CommMonomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
@@ -283,7 +288,8 @@ class RigMonomial:
 
     def scaled(self, left, right=None):
         """Multiply every component by base monomials on both sides."""
-        if not self.runs:
+        if not self.runs or (left.is_identity
+                             and (right is None or right.is_identity)):
             return self
         out = []
         for b, m in self.runs:

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +284,54 @@ def test_cli_output_is_byte_deterministic(blass_file):
         b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.stdout == b.stdout and a.stdout
         assert a.returncode == b.returncode
+
+
+# ---------------------------------------------------------------------------
+# golden transcript
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+
+
+def cli_transcript():
+    """Run the golden commands in the working directory and return one
+    block per call: the command line, stdout, stderr lines prefixed with
+    `! `, and the exit code.  `preset NAME [--basis]` writes NAME.rig and
+    NAME-basis.rig for the calls after it."""
+    blocks = []
+
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        blocks.append("$ rigbasis " + " ".join(argv) + "\n" + out.getvalue()
+                      + "".join(f"! {l}\n" for l in err.getvalue().splitlines())
+                      + f"[exit {code}]\n")
+        return out.getvalue()
+
+    names = ("fiore-leinster", "blass", "nat", "chain", "znc")
+    for name in names:
+        Path(f"{name}.rig").write_text(call("preset", name), encoding="utf-8")
+        basis = call("preset", name, "--basis")
+        if basis:
+            Path(f"{name}-basis.rig").write_text(basis, encoding="utf-8")
+    for name in names:
+        call("complete", f"{name}.rig", "--json")
+        call("verify", f"{name}.rig", "--json")
+        if name != "chain":
+            call("verify", f"{name}-basis.rig", "--json")
+    call("nf", "blass-basis.rig", "x^9", "--trace")
+    call("nf", "fiore-leinster-basis.rig", "(1+x)^6", "--trace")
+    call("eq", "blass.rig", "x^7", "x")
+    call("eq", "fiore-leinster.rig", "(1+x)^6", "1 + x")
+    call("oracle-eq", "blass.rig", "x^5", "x")
+    call("irr", "blass.rig", "--max-deg", "4", "--max-len", "4")
+    call("irr", "blass-basis.rig", "--max-deg", "4", "--max-len", "4")
+    return "\n".join(blocks)
+
+
+def test_cli_matches_golden(tmp_path, monkeypatch):
+    # any byte of difference is a change of CLI behaviour; after an
+    # intended one, write cli_transcript(), run in an empty directory,
+    # to GOLDEN and list the change
+    monkeypatch.chdir(tmp_path)
+    assert cli_transcript() == GOLDEN.read_text(encoding="utf-8")

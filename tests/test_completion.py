@@ -342,6 +342,21 @@ def test_step_capped_search_is_pinned(text, limits, stats, basis):
             for r in rep.basis.active_relations()] == basis
 
 
+def test_new_lead_inside_an_old_rhs_retires_it():
+    # 1 + 1 = 0 comes from reducing 0 = x^2 by x^2 = 1 + 1; its lead
+    # occurs in that relation's smaller side only, which still retires
+    # it, and it re-enters as x^2 = 0
+    pres = parse_presentation(
+        "mode: commutative\nvars: x\nrel: x^2 = 1 + 1\nrel: 0 = x^2\n")
+    rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                   order=pres.order())
+    assert rep.status == STATUS_COMPLETE
+    assert rep.stats["relations_added"] == 3
+    assert rep.stats["relations_retired"] == 1
+    assert [render_relation(r, pres.alphabet)
+            for r in rep.basis.active_relations()] == ["1 + 1 = 0", "x^2 = 0"]
+
+
 def test_system_from_pairs_orients():
     pres = BLASS.presentation
     system = system_from_pairs([(parse_expr("x", pres),

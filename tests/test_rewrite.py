@@ -11,16 +11,25 @@ from conftest import rand_mono, rand_poly
 from rigbasis import (
     THETA,
     CommMonomial,
+    CompletionLimits,
+    Occurrence,
     Polynomial,
     ReductionError,
+    ReductionTrace,
+    Relation,
     RigMonomial,
+    System,
+    TraceStep,
     Word,
     base_monomials_up_to,
+    complete,
     enum_irr,
     find_occurrences,
+    first_occurrence,
     is_irreducible,
     normal_form,
     normal_form_monomial,
+    occurs,
     orient_pair,
     parse_expr,
     parse_presentation,
@@ -128,6 +137,124 @@ def test_find_occurrences_respects_active_ids():
     assert occs and occs[0].rel_id == 0
     pruned = sys_full.without(0)
     assert all(o.rel_id != 0 for o in find_occurrences(m, pruned))
+
+
+# ---------------------------------------------------------------------------
+# first-fit search and one-term steps, against the definitions they replaced
+
+
+def _ref_pattern_occurrences(m, pattern, commutative, ident):
+    """Every context: scale the pattern by each anchor cofactor and keep
+    the scaled patterns m includes."""
+    if pattern.is_theta:
+        return [Context(ident, ident, m)]
+    anchor = pattern.greatest_component()
+    cands = set()
+    for c in m.distinct_components():
+        if commutative:
+            if anchor.divides(c):
+                cands.add((c.div(anchor), ident))
+        else:
+            cands.update(c.occurrences(anchor))
+    out = []
+    for a, b in sorted(cands, key=lambda ab: (ab[0].skey, ab[1].skey)):
+        req = pattern.scaled(a, b)
+        if m.includes(req):
+            out.append(Context(a, b, m.difference(req)))
+    return out
+
+
+def _ref_first_occurrence(m, system):
+    """The first context of the first relation, in index order, that has
+    any."""
+    for i, rel in system.active():
+        ctxs = _ref_pattern_occurrences(m, rel.lhs, system.commutative,
+                                        system.ident)
+        if ctxs:
+            return Occurrence(i, ctxs[0])
+    return None
+
+
+def _ref_normal_form(f, system, max_steps=10 ** 6):
+    """Reduction by whole-polynomial steps: f - alpha * context[lhs - rhs]."""
+    work, steps, known_irr = f, [], set()
+    while True:
+        target = occ = None
+        for m in work.support():
+            if m in known_irr:
+                continue
+            o = _ref_first_occurrence(m, system)
+            if o is None:
+                known_irr.add(m)
+                continue
+            target, occ = m, o
+            break
+        if target is None:
+            return work, ReductionTrace(tuple(steps))
+        if len(steps) >= max_steps:
+            raise ReductionError("reduction budget exhausted")
+        alpha = work.terms[target]
+        rel = system.relations[occ.rel_id]
+        work = work.sub(occ.context.apply(rel.poly()).scale(alpha))
+        steps.append(TraceStep(alpha, occ.rel_id, occ.context))
+
+
+def _completed(pres, limits=None):
+    return complete(pres.relations, pres.commutative, pres.alphabet,
+                    order=pres.order(), limits=limits).basis
+
+
+def test_first_occurrence_matches_reference():
+    raw = parse_presentation(
+        "mode: commutative\nvars: x y\nrel: x + y = 1 + x\n")
+    blass = BLASS.presentation
+    x = RigMonomial.singleton(CommMonomial.variable(0, 1))
+    # a theta lhs matches everything, so it fires wherever the blass
+    # relations before it do not
+    theta_lhs = System(True, blass.alphabet, blass.order(),
+                       _completed(blass).relations + (Relation(THETA, x),))
+    systems = [_completed(FL.presentation), _completed(blass),
+               _completed(preset("znc").presentation), raw.system(),
+               _completed(raw, CompletionLimits(4, 50))]
+    rng = random.Random(311)
+    for system in systems:
+        comm, nvars = system.commutative, len(system.alphabet)
+        for _ in range(100):
+            m = rand_mono(rng, nvars, comm, max_len=6, max_deg=3)
+            assert first_occurrence(m, system) == _ref_first_occurrence(
+                m, system)
+            for _, rel in system.active():
+                want = _ref_pattern_occurrences(m, rel.lhs, comm,
+                                                system.ident)
+                assert pattern_occurrences(m, rel.lhs, comm,
+                                           system.ident) == want
+                assert occurs(m, rel.lhs, comm, system.ident) == bool(want)
+            f = rand_poly(rng, nvars, comm, max_terms=3, max_len=3,
+                          max_deg=3)
+            for g in (Polynomial.monomial(m), f):
+                if g.is_zero():
+                    continue
+                nf, trace = normal_form(g, system)
+                want_nf, want_trace = _ref_normal_form(g, system)
+                assert nf.terms == want_nf.terms
+                assert trace == want_trace
+    for _ in range(40):
+        m = rand_mono(rng, 1, True, max_len=6, max_deg=3)
+        got = first_occurrence(m, theta_lhs)
+        assert got == _ref_first_occurrence(m, theta_lhs)
+        assert got is not None
+        for ref in (normal_form, _ref_normal_form):
+            with pytest.raises(ReductionError):
+                ref(Polynomial.monomial(m), theta_lhs, max_steps=30)
+
+
+def test_wide_power_step_counts():
+    # fiore-leinster (1+x)^11 is the benchmark's slowest normal form
+    for pre, want in ((FL, 1161), (BLASS, 2269)):
+        pres = pre.presentation
+        f = Polynomial.monomial(parse_expr("(1 + x)^11", pres))
+        _, trace = normal_form(f, _completed(pres))
+        assert len(trace.steps) == want
 
 
 # ---------------------------------------------------------------------------

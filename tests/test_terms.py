@@ -119,6 +119,32 @@ def test_scaled_multiplies_every_component():
         [Word((0,)), Word((1, 0))])
 
 
+def test_identity_factors_match_the_full_product():
+    # mul and scaled return an operand unchanged when the other factor
+    # is an identity; the result must equal the product computed in full
+    rng = random.Random(110)
+    for _ in range(100):
+        nvars = rng.randint(1, 3)
+        ident = CommMonomial.identity(nvars)
+        u = rand_comm_base(rng, nvars)
+        full = CommMonomial(tuple(a + b for a, b in zip(u.exps, ident.exps)))
+        assert u.mul(ident) == full and ident.mul(u) == full
+        m = rand_mono(rng, nvars, True)
+        by_u = RigMonomial(tuple(
+            (CommMonomial(tuple(a + c for a, c in zip(u.exps, b.exps))), k)
+            for b, k in m.runs))
+        assert m.scaled(u, ident) == m.scaled(u) == by_u
+        assert m.scaled(ident, ident) == m.scaled(ident) == m
+        w = rand_mono(rng, nvars, False)
+        empty = Word(())
+        assert w.scaled(empty, empty) == w.scaled(empty) == w
+        a, b = rand_word(rng, nvars), rand_word(rng, nvars)
+        assert w.scaled(a, b) == RigMonomial(tuple(
+            (Word(a.letters + c.letters + b.letters), k) for c, k in w.runs))
+    ident = CommMonomial.identity(2)
+    assert ident.mul(ident) == ident
+
+
 def test_includes_difference_multiplicity():
     rng = random.Random(106)
     for commutative in (True, False):
