@@ -106,7 +106,7 @@ class _Completer:
             recs = compositions(self.log[fi], self.log[gi], fi, gi,
                                 self.commutative, self.snapshot().ident)
             for rec in recs:
-                d = rec.ambiguity.max_component_degree()
+                d = rec.degree
                 if d > self.stats["max_ambiguity_degree_seen"]:
                     self.stats["max_ambiguity_degree_seen"] = d
                 if d > self.limits.max_ambiguity_degree:
@@ -234,21 +234,25 @@ def reduce_system(system: System) -> System:
     return autoreduce(minimalize(system))
 
 
+def composition_checks(system: System):
+    """Yield (record, ok, witness) for every composition of the active
+    relations, over ordered pairs, as triviality judges it."""
+    act = system.active()
+    for i, ri in act:
+        for j, rj in act:
+            for rec in compositions(ri, rj, i, j, system.commutative,
+                                    system.ident):
+                yield (rec, *triviality(rec.spoly, system, rec.ambiguity))
+
+
 def verify(system: System):
     """Check that every composition of active relations is trivial.
 
     Returns (ok, witnesses); each witness pairs the composition record
     with the monic normal form that survived reduction.
     """
-    witnesses = []
-    act = system.active()
-    for i, ri in act:
-        for j, rj in act:
-            for rec in compositions(ri, rj, i, j, system.commutative,
-                                    system.ident):
-                ok, wit = triviality(rec.spoly, system, rec.ambiguity)
-                if not ok:
-                    witnesses.append((rec, wit))
+    witnesses = [(rec, wit) for rec, ok, wit in composition_checks(system)
+                 if not ok]
     return (not witnesses), witnesses
 
 

@@ -16,16 +16,22 @@ the candidate set infinite.
 Every relation is a unit binomial lhs - rhs, and both contexts carry
 their lhs onto the ambiguity w.  The w terms of ctx_f[f] - ctx_g[g]
 therefore cancel: an S-pair of two unit binomials is the monomial pair
-(ctx_g[g.rhs], ctx_f[f.rhs]), standing for ctx_g[g.rhs] - ctx_f[f.rhs],
-and it is zero exactly when the two monomials coincide.  Records store
-the pair and build the Polynomial only when asked for it.
+(ctx_g[g.rhs], ctx_f[f.rhs]), standing for ctx_g[g.rhs] - ctx_f[f.rhs].
+It is zero exactly when rf.a + (w - lf.a) = rg.b + (w - lg.b) (a, b the
+cofactors, + - on multisets), i.e. when (rf - lf).a = (rg - lg).b.  As
+scaling is injective on base monomials, compositions() compares each
+relation's signed delta (Relation.delta) shifted by its cofactors, and
+makes a cheap CompositionRecord per nonzero site.  Its ambiguity is
+built on first read (completion: for the queue key, below the degree
+cap), its contexts and S-pair likewise (completion: on pop with both
+parents active; verify: always).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add
 
-from .terms import Polynomial, RigMonomial, lcm_circ
+from .terms import CommMonomial, Polynomial, RigMonomial, Word
 from .rewrite import Context, Relation, System, normal_form
 
 KIND_COMM = "commutative-pair"
@@ -33,31 +39,64 @@ KIND_INTERSECTION = "intersection"
 KIND_INCLUSION = "inclusion"
 
 
-@dataclass(frozen=True)
 class CompositionRecord:
-    f_id: int
-    g_id: int
-    kind: str
-    p: object            # site component from lhs of f
-    q: object            # site component from lhs of g
-    a: object            # derived cofactors
-    b: object
-    ambiguity: RigMonomial
-    mf: RigMonomial      # ctx_f[f.rhs]
-    mg: RigMonomial      # ctx_g[g.rhs]
-    ctx_f: Context
-    ctx_g: Context
+    """One composition site of the ordered pair (f, g), built in stages.
+
+    Set when made: f, g, f_id, g_id, kind, the sites p (of lhs f) and q
+    (of lhs g), the cofactors a and b, the context cofactors cf and cg
+    as (left, right) pairs, and degree, the ambiguity's greatest
+    component degree.  Built on first read: ambiguity; then, by
+    _record, mf = ctx_f[f.rhs], mg = ctx_g[g.rhs], ctx_f and ctx_g.
+    """
+
+    __slots__ = ("f", "g", "f_id", "g_id", "kind", "p", "q", "a", "b", "cf",
+                 "cg", "degree", "_lf", "_lg", "_ambiguity", "_built")
+
+    def __init__(self, f, g, f_id, g_id, kind, p, q, a, b, cf, cg, degree):
+        self.f, self.g, self.f_id, self.g_id = f, g, f_id, g_id
+        self.kind, self.p, self.q, self.a, self.b = kind, p, q, a, b
+        self.cf, self.cg, self.degree = cf, cg, degree
+        self._ambiguity = self._built = None
+
+    @property
+    def ambiguity(self) -> RigMonomial:
+        if self._ambiguity is None:
+            self._lf = self.f.lhs.scaled(*self.cf)
+            self._lg = self.g.lhs.scaled(*self.cg)
+            self._ambiguity = self._lf.lcm(self._lg)
+        return self._ambiguity
+
+    def _build(self):
+        """(mf, mg, ctx_f, ctx_g), made by _record on the first call."""
+        if self._built is None:
+            w = self.ambiguity
+            rec = _record(self.f, self.g, self.f_id, self.g_id, self.kind,
+                          self.p, self.q, self.a, self.b,
+                          Context(*self.cf, w.difference(self._lf)),
+                          Context(*self.cg, w.difference(self._lg)),
+                          w, self._lf, self._lg)
+            if rec is None or rec.degree != self.degree:
+                raise AssertionError("built record contradicts the zero "
+                                     "test or the predicted degree")
+            self._built = rec._built
+        return self._built
+
+    mf = property(lambda self: self._build()[0])
+    mg = property(lambda self: self._build()[1])
+    ctx_f = property(lambda self: self._build()[2])
+    ctx_g = property(lambda self: self._build()[3])
 
     @property
     def spoly(self) -> Polynomial:
         """ctx_f[f] - ctx_g[g], which is mg - mf."""
-        return Polynomial(((self.mf, -1), (self.mg, 1)))
+        mf, mg = self._build()[:2]
+        return Polynomial(((mf, -1), (mg, 1)))
 
 
 def _record(f: Relation, g: Relation, f_id, g_id, kind, p, q, a, b,
             ctx_f: Context, ctx_g: Context, w: RigMonomial,
             lf: RigMonomial, lg: RigMonomial):
-    """Record for one site, or None when its S-polynomial vanishes.
+    """Built record for one site, or None when its S-polynomial vanishes.
 
     lf and lg are f.lhs and g.lhs already scaled by the cofactors of
     ctx_f and ctx_g; padding them must give w.
@@ -70,87 +109,69 @@ def _record(f: Relation, g: Relation, f_id, g_id, kind, p, q, a, b,
         return None
     if not max(mf.skey, mg.skey) < w.skey:
         raise AssertionError("S-polynomial is not below its ambiguity")
-    return CompositionRecord(f_id, g_id, kind, p, q, a, b, w, mf, mg,
-                             ctx_f, ctx_g)
+    rec = CompositionRecord(f, g, f_id, g_id, kind, p, q, a, b,
+                            (ctx_f.left, ctx_f.right),
+                            (ctx_g.left, ctx_g.right),
+                            w.max_component_degree())
+    rec._lf, rec._lg, rec._ambiguity = lf, lg, w
+    rec._built = (mf, mg, ctx_f, ctx_g)
+    return rec
 
 
-def comm_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
-                      ident) -> list:
-    """Records for every component pair; duplicates by cofactor dropped."""
-    out = []
-    seen = set()
-    for u in f.lhs.distinct_components():
-        for v in g.lhs.distinct_components():
-            l = u.lcm(v)
-            a = l.div(u)
-            b = l.div(v)
-            key = (a.skey, b.skey)
-            if key in seen:
-                continue
-            seen.add(key)
-            fa = f.lhs.scaled(a)
-            gb = g.lhs.scaled(b)
-            w, uu, vv = lcm_circ(fa, gb)
-            rec = _record(f, g, f_id, g_id, KIND_COMM, u, v, a, b,
-                          Context(a, ident, uu), Context(b, ident, vv),
-                          w, fa, gb)
-            if rec is not None:
-                out.append(rec)
-    return out
-
-
-def nc_compositions(f: Relation, g: Relation, f_id: int, g_id: int,
-                    ident) -> list:
-    """Intersection and inclusion records for the ordered pair (f, g)."""
-    out = []
-    seen = set()
-    for p in f.lhs.distinct_components():
-        for q in g.lhs.distinct_components():
-            lp, lq = p.letters, q.letters
-            # intersections: nonempty suffix of p = prefix of q, proper
-            for k in range(1, min(len(lp), len(lq))):
-                if lp[len(lp) - k:] != lq[:k]:
-                    continue
-                a = type(q)(lq[k:])
-                b = type(p)(lp[:len(lp) - k])
-                key = (KIND_INTERSECTION, a.skey, b.skey)
-                if key in seen:
-                    continue
-                seen.add(key)
-                fa = f.lhs.scaled(ident, a)
-                bg = g.lhs.scaled(b, ident)
-                w, uu, vv = lcm_circ(fa, bg)
-                rec = _record(f, g, f_id, g_id, KIND_INTERSECTION, p, q,
-                              a, b, Context(ident, a, uu),
-                              Context(b, ident, vv), w, fa, bg)
-                if rec is not None:
-                    out.append(rec)
-            # inclusions: p = a q b over every embedding of q in p
-            for a, b in p.occurrences(q):
-                key = (KIND_INCLUSION, a.skey, b.skey)
-                if key in seen:
-                    continue
-                seen.add(key)
-                agb = g.lhs.scaled(a, b)
-                w, uu, vv = lcm_circ(f.lhs, agb)
-                rec = _record(f, g, f_id, g_id, KIND_INCLUSION, p, q,
-                              a, b, Context(ident, ident, uu),
-                              Context(a, b, vv), w, f.lhs, agb)
-                if rec is not None:
-                    out.append(rec)
-    return out
+def _shifted(delta, left, right):
+    """delta with every base monomial c replaced by left.c.right."""
+    if left.is_identity and right.is_identity:
+        return delta
+    if isinstance(left, CommMonomial):
+        e = left.exps
+        return {tuple(map(add, k, e)): n for k, n in delta.items()}
+    l, r = left.letters, right.letters
+    return {l + k + r: n for k, n in delta.items()}
 
 
 def compositions(f: Relation, g: Relation, f_id: int, g_id: int,
                  commutative: bool, ident) -> list:
-    """Records of the ordered pair (f, g) whose S-polynomial is nonzero.
+    """Records of the ordered pair (f, g) whose S-polynomial is nonzero,
+    one per site; duplicates by cofactor are dropped.
 
     Every comparison here is a sort-key comparison, so the order the
     relations were oriented by is not needed.
     """
-    if commutative:
-        return comm_compositions(f, g, f_id, g_id, ident)
-    return nc_compositions(f, g, f_id, g_id, ident)
+    out = []
+    seen = set()
+    df, dg = f.delta, g.delta
+    hf = f.lhs.max_component_degree()
+    hg = g.lhs.max_component_degree()
+
+    def site(kind, p, q, a, b, cf, cg):
+        key = (kind, a.skey, b.skey)
+        if key in seen:
+            return
+        seen.add(key)
+        # a shift keeps the number of entries, so unequal sizes differ
+        if len(df) != len(dg) or _shifted(df, *cf) != _shifted(dg, *cg):
+            degree = max(hf + cf[0].degree() + cf[1].degree(),
+                         hg + cg[0].degree() + cg[1].degree())
+            out.append(CompositionRecord(f, g, f_id, g_id, kind, p, q, a, b,
+                                         cf, cg, degree))
+
+    for p in f.lhs.distinct_components():
+        for q in g.lhs.distinct_components():
+            if commutative:
+                l = p.lcm(q)
+                a, b = l.div(p), l.div(q)
+                site(KIND_COMM, p, q, a, b, (a, ident), (b, ident))
+                continue
+            lp, lq = p.letters, q.letters
+            # intersections: nonempty suffix of p = prefix of q, proper
+            for k in range(1, min(len(lp), len(lq))):
+                if lp[len(lp) - k:] == lq[:k]:
+                    a, b = Word(lq[k:]), Word(lp[:len(lp) - k])
+                    site(KIND_INTERSECTION, p, q, a, b, (ident, a), (b, ident))
+            # inclusions: p = a q b over every embedding of q in p
+            for a, b in p.occurrences(q):
+                site(KIND_INCLUSION, p, q, a, b, (ident, ident), (a, b))
+    return out
 
 
 def is_trivial(h: Polynomial, system: System, w: RigMonomial) -> bool:

@@ -16,6 +16,7 @@ from the normal forms of parts and returns no trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .terms import ZERO, CommMonomial, Polynomial, RigMonomial, Word
@@ -72,6 +73,17 @@ class Relation:
 
     def pair(self):
         return (self.lhs, self.rhs)
+
+    @cached_property
+    def delta(self):
+        """lhs - rhs as a signed multiset {exps or letters: count}, with
+        zero counts dropped; composition's zero test shifts it."""
+        d = {}
+        for m, sign in ((self.lhs, 1), (self.rhs, -1)):
+            for b, k in m.runs:
+                key = b.exps if isinstance(b, CommMonomial) else b.letters
+                d[key] = d.get(key, 0) + sign * k
+        return {key: k for key, k in d.items() if k}
 
 
 def orient_pair(m: RigMonomial, n: RigMonomial, order: RigOrder) -> Relation:

@@ -253,7 +253,8 @@ class RigMonomial:
         return sum(b.degree() * m for b, m in self.runs)
 
     def max_component_degree(self):
-        return max((b.degree() for b, _ in self.runs), default=0)
+        # base sort keys lead with the degree, so the greatest base has it
+        return self.runs[-1][0].degree() if self.runs else 0
 
     def circ(self, other):
         """Multiset union (the semiring addition on monomials)."""
@@ -299,6 +300,23 @@ class RigMonomial:
             out.append((c, m))
         return RigMonomial(tuple(out))
 
+    def lcm(self, other):
+        """Least common multiple for circ: the pointwise multiplicity max."""
+        out = []
+        i = j = 0
+        a, b = self.runs, other.runs
+        while i < len(a) and j < len(b):
+            ka, kb = a[i][0].skey, b[j][0].skey
+            if ka < kb:
+                out.append(a[i]); i += 1
+            elif kb < ka:
+                out.append(b[j]); j += 1
+            else:
+                out.append((a[i][0], max(a[i][1], b[j][1]))); i += 1; j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return RigMonomial(tuple(out))
+
     def includes(self, other):
         """Multiset containment: other is a submultiset of self."""
         i = 0
@@ -337,23 +355,9 @@ THETA = RigMonomial(())
 def lcm_circ(m, n):
     """Least common multiple for the multiset union.
 
-    Returns (w, u, v) with w = m circ u = n circ v and w the pointwise
-    multiplicity max of m and n.
+    Returns (w, u, v) with w = m circ u = n circ v and w = m.lcm(n).
     """
-    out = []
-    i = j = 0
-    a, b = m.runs, n.runs
-    while i < len(a) and j < len(b):
-        ka, kb = a[i][0].skey, b[j][0].skey
-        if ka < kb:
-            out.append(a[i]); i += 1
-        elif kb < ka:
-            out.append(b[j]); j += 1
-        else:
-            out.append((a[i][0], max(a[i][1], b[j][1]))); i += 1; j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    w = RigMonomial(tuple(out))
+    w = m.lcm(n)
     return w, w.difference(m), w.difference(n)
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from conftest import rand_mono
 
+from rigbasis import composition
 from rigbasis import (
     STATUS_COMPLETE,
     STATUS_TRUNCATED,
@@ -340,6 +341,32 @@ def test_step_capped_search_is_pinned(text, limits, stats, basis):
     assert rep.stats == dict(zip(_STAT_KEYS, stats))
     assert [render_relation(r, pres.alphabet)
             for r in rep.basis.active_relations()] == basis
+
+
+@pytest.mark.parametrize("text, limits", [
+    ("mode: commutative\nvars: x y\nrel: x + y = 1 + x\n",
+     CompletionLimits(6, 100)),
+    ("mode: noncommutative\nvars: x y\nrel: 1 + y^2 = x y\n",
+     CompletionLimits(4, 100)),
+], ids=["commutative", "noncommutative"])
+def test_records_are_built_only_for_examined_pairs(text, limits,
+                                                   monkeypatch):
+    # contexts and S-pairs are built lazily: once per examined pair,
+    # never for zero S-pairs, sites above the degree cap, records left
+    # queued at the step cap or records whose parent retired
+    built = []
+    record = composition._record
+
+    def counted(*args):
+        built.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(composition, "_record", counted)
+    pres = parse_presentation(text)
+    rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                   order=pres.order(), limits=limits)
+    assert rep.stats["pairs_examined"] == limits.max_steps
+    assert len(built) == rep.stats["pairs_examined"]
 
 
 def test_new_lead_inside_an_old_rhs_retires_it():

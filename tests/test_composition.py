@@ -12,11 +12,14 @@ from rigbasis import (
     KIND_INTERSECTION,
     THETA,
     CommMonomial,
+    CompletionLimits,
+    CompositionRecord,
     Context,
     Polynomial,
     Relation,
     RigMonomial,
     Word,
+    complete,
     compositions,
     lcm_circ,
     orient_pair,
@@ -155,6 +158,12 @@ def test_record_self_checks_reject_bad_records():
     with pytest.raises(AssertionError, match="not below"):
         _record(*args, Context(x, ident, THETA), Context(ident, ident, THETA),
                 low, low, low)
+    # a lazy record checks the built one against its zero test and degree
+    site = (x, ident), (ident, ident)
+    assert CompositionRecord(*args, *site, 3).spoly == rec.spoly
+    for cf, degree in (((ident, ident), 2), (site[0], 4)):
+        with pytest.raises(AssertionError, match="contradicts"):
+            CompositionRecord(*args, cf, site[1], degree).mf
 
 
 def _nc_relation(pres, lhs, rhs):
@@ -247,3 +256,83 @@ def test_zero_spoly_is_trivial():
     ok, witness = triviality(Polynomial.zero(), system,
                              parse_expr("x", BLASS.presentation))
     assert ok and witness is None
+
+
+def _eager_sites(f, g, commutative, ident):
+    """Reference: the eager enumeration compositions() replaced.  It
+    builds every site in full, contexts and S-pair included, and drops
+    a site when its two rhs images coincide."""
+    out = []
+    seen = set()
+
+    def build(kind, p, q, a, b, cf, cg, lf, lg):
+        w, uu, vv = lcm_circ(lf, lg)
+        ctx_f, ctx_g = Context(*cf, uu), Context(*cg, vv)
+        mf, mg = ctx_f.apply_mon(f.rhs), ctx_g.apply_mon(g.rhs)
+        if mf != mg:
+            out.append((kind, p, q, a, b, w, mf, mg, ctx_f, ctx_g))
+
+    for p in f.lhs.distinct_components():
+        for q in g.lhs.distinct_components():
+            if commutative:
+                l = p.lcm(q)
+                a, b = l.div(p), l.div(q)
+                if (a.skey, b.skey) not in seen:
+                    seen.add((a.skey, b.skey))
+                    build(KIND_COMM, p, q, a, b, (a, ident), (b, ident),
+                          f.lhs.scaled(a), g.lhs.scaled(b))
+                continue
+            lp, lq = p.letters, q.letters
+            for k in range(1, min(len(lp), len(lq))):
+                if lp[len(lp) - k:] != lq[:k]:
+                    continue
+                a, b = Word(lq[k:]), Word(lp[:len(lp) - k])
+                if (KIND_INTERSECTION, a.skey, b.skey) not in seen:
+                    seen.add((KIND_INTERSECTION, a.skey, b.skey))
+                    build(KIND_INTERSECTION, p, q, a, b, (ident, a),
+                          (b, ident), f.lhs.scaled(ident, a),
+                          g.lhs.scaled(b, ident))
+            for a, b in p.occurrences(q):
+                if (KIND_INCLUSION, a.skey, b.skey) not in seen:
+                    seen.add((KIND_INCLUSION, a.skey, b.skey))
+                    build(KIND_INCLUSION, p, q, a, b, (ident, ident),
+                          (a, b), f.lhs, g.lhs.scaled(a, b))
+    return out
+
+
+_COMM_RAW = parse_presentation(
+    "mode: commutative\nvars: x y\nrel: x + y = 1 + x\n")
+_NC_RAW = parse_presentation(
+    "mode: noncommutative\nvars: x y\nrel: 1 + y^2 = x y\n")
+
+
+@pytest.mark.parametrize("pres, limits", [
+    (FL.presentation, CompletionLimits()),
+    (BLASS.presentation, CompletionLimits()),
+    (preset("znc").presentation, CompletionLimits()),
+    (_COMM_RAW, None),
+    (_COMM_RAW, CompletionLimits(6, 100)),
+    (_NC_RAW, None),
+    (_NC_RAW, CompletionLimits(4, 100)),
+], ids=["fiore-leinster-basis", "blass-basis", "znc-basis", "comm-raw",
+        "comm-truncated", "nc-raw", "nc-truncated"])
+def test_zero_test_and_degree_agree_with_eager_build(pres, limits):
+    # the signed-delta zero test keeps exactly the sites whose eagerly
+    # built S-pair is nonzero, in the same order, and the predicted
+    # degree is the ambiguity's greatest component degree; over every
+    # ordered pair of a completed basis, a raw system or a truncation
+    system = pres.system()
+    if limits is not None:
+        system = complete(pres.relations, pres.commutative, pres.alphabet,
+                          order=pres.order(), limits=limits).basis
+    act = system.active()
+    for i, f in act:
+        for j, g in act:
+            recs = compositions(f, g, i, j, system.commutative,
+                                system.ident)
+            for rec in recs:
+                assert rec.degree == rec.ambiguity.max_component_degree()
+            got = [(r.kind, r.p, r.q, r.a, r.b, r.ambiguity, r.mf, r.mg,
+                    r.ctx_f, r.ctx_g) for r in recs]
+            assert got == _eager_sites(f, g, system.commutative,
+                                       system.ident), (i, j)

@@ -187,6 +187,14 @@ def test_monomial_measures():
     assert m.greatest_component() == x3
     assert THETA.circ_len() == 0
     assert THETA.total_degree() == 0
+    assert THETA.max_component_degree() == 0
+    # the greatest base by sort key has the greatest degree
+    rng = random.Random(108)
+    for commutative in (True, False):
+        for _ in range(200):
+            m = rand_mono(rng, 3, commutative)
+            assert m.max_component_degree() == max(
+                (b.degree() for b in m.components()), default=0)
 
 
 def test_from_components_canonicalizes():
