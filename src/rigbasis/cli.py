@@ -39,6 +39,17 @@ class CliError(Exception):
     """Bad input data; maps to exit code 65."""
 
 
+def _limit(text):
+    """A non-negative integer limit (--max-deg, --max-len, ...)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -358,10 +369,10 @@ def build_parser():
 
     c = sub.add_parser("complete", help="run completion on a presentation")
     c.add_argument("file")
-    c.add_argument("--max-deg", type=int, default=None,
+    c.add_argument("--max-deg", type=_limit, default=None,
                    help="skip ambiguities whose greatest component degree "
                         "exceeds this")
-    c.add_argument("--max-steps", type=int, default=None)
+    c.add_argument("--max-steps", type=_limit, default=None)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_complete)
 
@@ -386,8 +397,8 @@ def build_parser():
 
     c = sub.add_parser("irr", help="enumerate irreducible monomials")
     c.add_argument("file")
-    c.add_argument("--max-deg", type=int, required=True)
-    c.add_argument("--max-len", type=int, required=True)
+    c.add_argument("--max-deg", type=_limit, required=True)
+    c.add_argument("--max-len", type=_limit, required=True)
     c.set_defaults(func=cmd_irr)
 
     c = sub.add_parser("reduce-basis",
@@ -400,9 +411,9 @@ def build_parser():
     c.add_argument("file")
     c.add_argument("left")
     c.add_argument("right")
-    c.add_argument("--max-deg", type=int, default=None)
-    c.add_argument("--max-len", type=int, default=None)
-    c.add_argument("--max-expansions", type=int, default=None)
+    c.add_argument("--max-deg", type=_limit, default=None)
+    c.add_argument("--max-len", type=_limit, default=None)
+    c.add_argument("--max-expansions", type=_limit, default=None)
     c.set_defaults(func=cmd_oracle_eq)
 
     c = sub.add_parser("preset", help="print a built-in presentation file")

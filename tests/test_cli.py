@@ -253,6 +253,33 @@ def test_usage_errors(capsys, blass_file):
     assert run(capsys, "eq", blass_file)[0] == 64
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-eq", "{f}", "x^5", "x", "--max-expansions", "-5"],
+    ["oracle-eq", "{f}", "x^5", "x", "--max-deg", "-1"],
+    ["oracle-eq", "{f}", "x^5", "x", "--max-len", "-2"],
+    ["complete", "{f}", "--max-deg", "-1"],
+    ["complete", "{f}", "--max-steps", "-1"],
+    ["irr", "{f}", "--max-deg", "-1", "--max-len", "2"],
+    ["irr", "{f}", "--max-deg", "2", "--max-len", "-1"],
+])
+def test_negative_limits_are_usage_errors(argv, blass_file, capsys):
+    code, out, err = run(capsys, *[a.format(f=blass_file) for a in argv])
+    assert code == 64
+    assert out == ""
+    assert "must be at least 0" in err
+
+
+def test_zero_limits_are_accepted(blass_file, capsys):
+    assert run(capsys, "irr", blass_file, "--max-deg", "0",
+               "--max-len", "0") == (0, "0\n", "")
+    code, out, _ = run(capsys, "oracle-eq", blass_file, "x", "x",
+                       "--max-expansions", "0")
+    assert code == 0
+    assert out == "CONGRUENT (witness path, 0 steps)\n"
+    code, out, _ = run(capsys, "complete", blass_file, "--max-steps", "0")
+    assert code == 2 and "status: Truncated" in out
+
 def test_data_errors(tmp_path, capsys):
     missing = str(tmp_path / "none.rig")
     assert run(capsys, "complete", missing)[0] == 65

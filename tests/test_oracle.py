@@ -2,6 +2,7 @@
 completion-based decision procedure."""
 
 import random
+from collections import deque
 
 import pytest
 from conftest import rand_mono
@@ -11,15 +12,20 @@ from rigbasis import (
     NOT_FOUND,
     THETA,
     ClosureBounds,
+    ClosureStep,
+    Context,
     closure_class,
     closure_eq,
     complete,
     decide_eq,
     normal_form_monomial,
     parse_expr,
+    parse_presentation,
+    pattern_occurrences,
     preset,
     replay_path,
 )
+from rigbasis import oracle
 
 BLASS = preset("blass")
 FL = preset("fiore-leinster")
@@ -189,3 +195,210 @@ def test_noncommutative_closure():
     b = parse_expr("x y'", pres)
     status, path = closure_eq(a, b, rels, False, pres.alphabet, bounds)
     assert status == CONGRUENT
+
+
+# ------------------------------------------- bidirectional vs one-sided
+
+def _reference_neighbors(m, rels, commutative, alphabet, bounds, ident):
+    out = []
+    for idx, (lhs, rhs) in enumerate(rels):
+        for forward in (True, False):
+            pat, rep = (lhs, rhs) if forward else (rhs, lhs)
+            if pat.is_theta:
+                if m.circ_len() + rep.circ_len() > bounds.max_circ_len:
+                    continue
+                for a, b in oracle._insertion_cofactors(rep, commutative,
+                                                        alphabet, bounds):
+                    ctx = Context(a, b, m)
+                    out.append(ClosureStep(idx, forward, ctx,
+                                           ctx.apply_mon(rep)))
+                continue
+            for ctx in pattern_occurrences(m, pat, commutative, ident):
+                res = ctx.apply_mon(rep)
+                if res.circ_len() > bounds.max_circ_len:
+                    continue
+                if res.max_component_degree() > bounds.max_degree:
+                    continue
+                out.append(ClosureStep(idx, forward, ctx, res))
+    return out
+
+
+def _reference_search(u, rels, commutative, alphabet, bounds, target):
+    """The one-sided breadth-first search from u: (parents, hit,
+    expansions)."""
+    ident = oracle._ident(commutative, alphabet)
+    parents = {u: None}
+    if target is not None and u == target:
+        return parents, True, 0
+    queue = deque([u])
+    expansions = 0
+    while queue and expansions < bounds.max_expansions:
+        m = queue.popleft()
+        expansions += 1
+        for step in _reference_neighbors(m, rels, commutative, alphabet,
+                                         bounds, ident):
+            r = step.result
+            if r in parents:
+                continue
+            parents[r] = (m, step)
+            if target is not None and r == target:
+                return parents, True, expansions
+            queue.append(r)
+    return parents, False, expansions
+
+
+def _reference_path_length(parents, v):
+    n, cur = 0, v
+    while parents[cur] is not None:
+        cur = parents[cur][0]
+        n += 1
+    return n
+
+
+THETA_PRES = parse_presentation("mode: commutative\nvars: x y\n"
+                                "rel: x + y = 0\n")
+# x^2 y^2 lies outside degree 3 and leaves the bounds only through an
+# insertion: x^2 y^2 -> x^2 y^2 + x^3 + 1 -> 1
+INSERT_PRES = parse_presentation("mode: commutative\nvars: x y\n"
+                                 "rel: x + y^2 = 0\nrel: x^3 + 1 = 0\n")
+
+# (presentation, bounds, class seeds, monomials outside the bounds)
+DIFFERENTIAL_CASES = {
+    "blass": (BLASS.presentation, ClosureBounds(6, 5),
+              ["x", "x^2", "x^3", "1 + x"],
+              ["x^7", "x + x + x + x + x + x", "1 + x^2 + x + x + x + x"]),
+    "fiore-leinster": (FL.presentation, ClosureBounds(5, 5),
+                       ["x", "x^2", "1 + x^3"],
+                       ["x^6", "1 + x + x^2 + x + x + x"]),
+    "chain": (preset("chain").presentation, ClosureBounds(3, 6),
+              ["x", "1", "x^2 + 1"],
+              ["x^4", "x + 1 + 1 + 1 + 1 + 1 + 1"]),
+    "znc": (preset("znc").presentation, ClosureBounds(2, 3),
+            ["x y", "x + x'", "y"],
+            ["x y x", "x + x' + y + y'"]),
+    "theta": (THETA_PRES, ClosureBounds(3, 5),
+              ["x y", "x", "x^2 + y"],
+              ["x^4", "x^4 + x + y", "x y^3 + x y + y^2"]),
+    "theta-insert": (INSERT_PRES, ClosureBounds(3, 4), ["1", "x", "y"],
+                     ["x^2 y^2", "x^2 y^2 + x"]),
+}
+
+
+def _differential_pairs(name, rng):
+    pres, bounds, seeds, outside = DIFFERENTIAL_CASES[name]
+    rels = list(pres.relations)
+    classes = [sorted(_reference_search(parse_expr(s, pres), rels,
+                                        pres.commutative, pres.alphabet,
+                                        bounds, None)[0],
+                      key=lambda m: m.skey)
+               for s in seeds]
+    members = [m for cls in classes for m in cls]
+    far = [parse_expr(t, pres) for t in outside]
+    pairs = []
+    for cls in classes:                       # reachable
+        pairs += [(rng.choice(cls), rng.choice(cls)) for _ in range(4)]
+    for _ in range(6):                        # mostly unreachable
+        pairs.append((rng.choice(members), rng.choice(members)))
+    u = rng.choice(members)
+    pairs.append((u, u))
+    for m in far:                             # u or v outside the bounds
+        pairs += [(m, rng.choice(members)), (rng.choice(members), m),
+                  (m, m)]
+    pairs += [(a, b) for a in far for b in far if a != b]
+    return pres, rels, bounds, pairs
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_bidirectional_matches_one_sided(name):
+    rng = random.Random(f"bidirectional {name}")
+    pres, rels, bounds, pairs = _differential_pairs(name, rng)
+    found = 0
+    for u, v in pairs:
+        parents, hit, expansions = _reference_search(
+            u, rels, pres.commutative, pres.alphabet, bounds, v)
+        status, path = closure_eq(u, v, rels, pres.commutative,
+                                  pres.alphabet, bounds)
+        if path is not None:
+            assert replay_path(u, path, rels) == v
+        if not hit and expansions >= bounds.max_expansions:
+            continue
+        assert status == (CONGRUENT if hit else NOT_FOUND), (u, v)
+        if hit:
+            assert len(path) == _reference_path_length(parents, v), (u, v)
+            found += 1
+    assert found >= 12
+
+
+def _eq(pres, left, right, bounds):
+    u, v = parse_expr(left, pres), parse_expr(right, pres)
+    rels = list(pres.relations)
+    status, path = closure_eq(u, v, rels, pres.commutative, pres.alphabet,
+                              bounds)
+    if path is not None:
+        assert replay_path(u, path, rels) == v
+    return status, path
+
+
+def test_out_of_bounds_start_reaches_by_theta_insertion():
+    # x^4 exceeds the degree bound, so inserting x + y = 0 into it gives
+    # monomials outside the bounds that the one-sided search still
+    # reaches; the search from both ends must reach them too
+    bounds = ClosureBounds(3, 5)
+    for text, steps in (("x^4 + x + y", 1), ("x^4 + x + y + x y + y^2", 2)):
+        status, path = _eq(THETA_PRES, "x^4", text, bounds)
+        assert status == CONGRUENT and len(path) == steps
+    # the only way back into the bounds passes through an insertion
+    status, path = _eq(INSERT_PRES, "x^2 y^2", "1", ClosureBounds(3, 4))
+    assert status == CONGRUENT and len(path) == 2
+    # from inside the bounds nothing outside them is reachable
+    status, _ = _eq(THETA_PRES, "x", "x + x^4 + y^4", bounds)
+    assert status == NOT_FOUND
+
+
+@pytest.mark.parametrize("left, right", [("x^7", "x"), ("x", "x^7")])
+def test_seven_trees_meet_in_the_middle(left, right):
+    pres = BLASS.presentation
+    u, v = parse_expr(left, pres), parse_expr(right, pres)
+    status, path = closure_eq(u, v, _rels(BLASS), True, pres.alphabet)
+    assert status == CONGRUENT and len(path) == 18
+    assert replay_path(u, path, _rels(BLASS)) == v
+    # the one-sided search visits 1,219 (x^7 first) and 1,247 monomials
+    visited, _ = oracle._search(u, _rels(BLASS), True, pres.alphabet,
+                                ClosureBounds(), v)
+    assert len(visited) < 600
+
+
+def test_expansion_cap_counts_both_sides(monkeypatch):
+    pres = BLASS.presentation
+    u, v = parse_expr("x^7", pres), parse_expr("x", pres)
+    expanded = []
+    neighbors = oracle._neighbors
+
+    def counting(m, *args):
+        expanded.append(m)
+        return neighbors(m, *args)
+
+    monkeypatch.setattr(oracle, "_neighbors", counting)
+    status, _ = closure_eq(u, v, _rels(BLASS), True, pres.alphabet)
+    assert status == CONGRUENT
+    assert u in expanded and v in expanded
+    n = len(expanded)
+
+    def run(cap):
+        return closure_eq(u, v, _rels(BLASS), True, pres.alphabet,
+                          ClosureBounds(max_expansions=cap))[0]
+
+    assert run(n) == CONGRUENT
+    assert run(n - 1) == NOT_FOUND
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_closure_class_matches_one_sided(name):
+    pres, bounds, seeds, outside = DIFFERENTIAL_CASES[name]
+    rels = list(pres.relations)
+    for text in seeds + outside:
+        u = parse_expr(text, pres)
+        parents, _, _ = _reference_search(u, rels, pres.commutative,
+                                          pres.alphabet, bounds, None)
+        assert closure_class(u, rels, pres.commutative, pres.alphabet,
+                             bounds) == frozenset(parents)
