@@ -9,8 +9,9 @@ normal forms then decide the word problem.
 from .terms import (Alphabet, CommMonomial, Polynomial, RigMonomial, THETA,
                     Word, lcm_circ)
 from .ordering import RigOrder, default_keyword, order_for
-from .rewrite import (Context, Occurrence, ReductionError, ReductionTrace,
-                      Relation, System, TraceStep, base_monomials_up_to,
+from .rewrite import (Context, Occurrence, ReductionBudgetExhausted,
+                      ReductionError, ReductionTrace, Relation, System,
+                      TraceStep, base_monomials_up_to,
                       enum_irr, find_occurrences, first_occurrence,
                       is_irreducible, normal_form, normal_form_monomial,
                       occurs, orient_pair, pattern_occurrences,

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success / Equal / verified; 1 Distinct / not a basis /
-failed demo; 2 Unknown / Truncated / not found within bounds; 64 usage
-errors; 65 unreadable or malformed input.  Output is deterministic:
-same inputs, same bytes.
+failed demo; 2 Unknown / Truncated / not found within bounds / a
+reduction that ran out of steps; 64 usage errors; 65 unreadable or
+malformed input.  Output is deterministic: same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from .terms import Polynomial
-from .rewrite import normal_form
+from .rewrite import ReductionBudgetExhausted, normal_form
 # unused here, but perfbench/tracer.py wraps them at this lookup site by name
 from .composition import compositions, triviality  # noqa: F401
 from .completion import (CompletionLimits, CompletionReport, DISTINCT, EQUAL,
@@ -146,7 +146,10 @@ def cmd_nf(args):
     p = _load(args.file)
     system = p.system()
     m = _expr(args.expr, p)
-    nf, trace = normal_form(Polynomial.monomial(m), system)
+    try:
+        nf, trace = normal_form(Polynomial.monomial(m), system)
+    except ReductionBudgetExhausted as e:
+        return _out_of_steps(e)
     if args.trace:
         for line in render_trace(trace, system):
             print(line)
@@ -154,13 +157,21 @@ def cmd_nf(args):
     return EX_OK
 
 
+def _out_of_steps(e):
+    print(f"error: {e}", file=sys.stderr)
+    return EX_UNKNOWN
+
+
 def cmd_eq(args):
     p = _load(args.file)
-    report = complete(p.relations, p.commutative, p.alphabet,
-                      order=p.order())
     u = _expr(args.left, p)
     v = _expr(args.right, p)
-    verdict, nu, nv = decide_eq(u, v, report)
+    try:
+        report = complete(p.relations, p.commutative, p.alphabet,
+                          order=p.order())
+        verdict, nu, nv = decide_eq(u, v, report)
+    except ReductionBudgetExhausted as e:
+        return _out_of_steps(e)
     lhs = render_monomial(nu, p.alphabet)
     rhs = render_monomial(nv, p.alphabet)
     if args.json:

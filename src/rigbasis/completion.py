@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
+from heapq import heappop, heappush, heapreplace
 
 from .terms import Polynomial, RigMonomial
 from .ordering import RigOrder, default_keyword, order_for
@@ -96,26 +96,36 @@ class _Completer:
         return self.rng.random() if self.rng is not None else 0.0
 
     def enqueue_pairs(self, new_id):
+        """Queue the records of every pair with the new relation.
+
+        A record enters the heap on its key prefix, the first two items
+        of its ambiguity's sort key, and its exact key is computed only
+        when that entry reaches the top (see run).  The tie-break is
+        drawn here, once per record, in enumeration order.
+        """
         ids = [i for i, a in enumerate(self.active) if a]
         pairs = [(new_id, new_id)]
         for j in ids:
             if j != new_id:
                 pairs.append((new_id, j))
                 pairs.append((j, new_id))
+        stats, cap = self.stats, self.limits.max_ambiguity_degree
+        skipped = []
         for fi, gi in pairs:
             recs = compositions(self.log[fi], self.log[gi], fi, gi,
-                                self.commutative, self.snapshot().ident)
+                                self.commutative, self.snapshot().ident,
+                                cap, skipped)
             for rec in recs:
-                d = rec.degree
-                if d > self.stats["max_ambiguity_degree_seen"]:
-                    self.stats["max_ambiguity_degree_seen"] = d
-                if d > self.limits.max_ambiguity_degree:
-                    self.stats["truncation_skips"] += 1
-                    continue
+                if rec.degree > stats["max_ambiguity_degree_seen"]:
+                    stats["max_ambiguity_degree_seen"] = rec.degree
                 self.seq += 1
-                heappush(self.heap, (rec.ambiguity.skey, self._tiebreak(),
-                                     self.seq, rec))
-                self.stats["records_queued"] += 1
+                heappush(self.heap, (rec.key_prefix(), self._tiebreak(),
+                                     self.seq, rec, False))
+            stats["records_queued"] += len(recs)
+        if skipped:
+            stats["truncation_skips"] += len(skipped)
+            stats["max_ambiguity_degree_seen"] = max(
+                stats["max_ambiguity_degree_seen"], *skipped)
 
     def integrate(self, p: Polynomial):
         """Reduce p against the current basis; append a survivor and
@@ -151,12 +161,24 @@ class _Completer:
             if p.is_zero():
                 raise ValueError("zero relation in input")
             self.integrate(p)
+        # Entries are (key, tie-break, seq, record, exact).  A prefix
+        # entry sorts before the exact entry of the same record, and
+        # seq is unique, so exact entries pop in the order of a heap
+        # keyed by the full ambiguity.  A prefix entry at the top is
+        # replaced by its exact entry whether or not its parents are
+        # still active, so the heap holds the same records at every
+        # step-cap check as one keyed exactly from the start.
+        heap = self.heap
         hit_step_cap = False
-        while self.heap:
+        while heap:
             if self.stats["pairs_examined"] >= self.limits.max_steps:
                 hit_step_cap = True
                 break
-            _, _, _, rec = heappop(self.heap)
+            _, tie, seq, rec, exact = heap[0]
+            if not exact:
+                heapreplace(heap, (rec.ambiguity.skey, tie, seq, rec, True))
+                continue
+            heappop(heap)
             if not (self.active[rec.f_id] and self.active[rec.g_id]):
                 continue
             self.stats["pairs_examined"] += 1

@@ -21,10 +21,11 @@ It is zero exactly when rf.a + (w - lf.a) = rg.b + (w - lg.b) (a, b the
 cofactors, + - on multisets), i.e. when (rf - lf).a = (rg - lg).b.  As
 scaling is injective on base monomials, compositions() compares each
 relation's signed delta (Relation.delta) shifted by its cofactors, and
-makes a cheap CompositionRecord per nonzero site.  Its ambiguity is
-built on first read (completion: for the queue key, below the degree
-cap), its contexts and S-pair likewise (completion: on pop with both
-parents active; verify: always).
+makes a cheap CompositionRecord per nonzero site at or below the degree
+cap, if one is given; a site above it is only counted.  A record's
+ambiguity is built on first read (completion: when the record's key
+prefix reaches the top of the queue), its contexts and S-pair likewise
+(completion: on pop with both parents active; verify: always).
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ class CompositionRecord:
     Set when made: f, g, f_id, g_id, kind, the sites p (of lhs f) and q
     (of lhs g), the cofactors a and b, the context cofactors cf and cg
     as (left, right) pairs, and degree, the ambiguity's greatest
-    component degree.  Built on first read: ambiguity; then, by
-    _record, mf = ctx_f[f.rhs], mg = ctx_g[g.rhs], ctx_f and ctx_g.
+    component degree.  key_prefix() gives the first two items of the
+    ambiguity's sort key without building it.  Built on first read:
+    ambiguity; then, by _record, mf = ctx_f[f.rhs], mg = ctx_g[g.rhs],
+    ctx_f and ctx_g.
     """
 
     __slots__ = ("f", "g", "f_id", "g_id", "kind", "p", "q", "a", "b", "cf",
@@ -66,19 +69,34 @@ class CompositionRecord:
             self._ambiguity = self._lf.lcm(self._lg)
         return self._ambiguity
 
+    def key_prefix(self):
+        """(g.skey, m) == ambiguity.skey[:2], without building w.
+
+        Scaling keeps the base order, so the greatest component of each
+        scaled lhs is its greatest base scaled, with the same
+        multiplicity; g is the greater of the two, and the lcm takes the
+        larger multiplicity when they coincide.
+        """
+        (bf, mf), (bg, mg) = self.f.lhs.runs[-1], self.g.lhs.runs[-1]
+        (lf, rf), (lg, rg) = self.cf, self.cg
+        kf = lf.mul(bf).mul(rf).skey
+        kg = lg.mul(bg).mul(rg).skey
+        if kf == kg:
+            return kf, max(mf, mg)
+        return (kf, mf) if kf > kg else (kg, mg)
+
     def _build(self):
         """(mf, mg, ctx_f, ctx_g), made by _record on the first call."""
         if self._built is None:
             w = self.ambiguity
-            rec = _record(self.f, self.g, self.f_id, self.g_id, self.kind,
-                          self.p, self.q, self.a, self.b,
-                          Context(*self.cf, w.difference(self._lf)),
-                          Context(*self.cg, w.difference(self._lg)),
-                          w, self._lf, self._lg)
-            if rec is None or rec.degree != self.degree:
+            if (w.max_component_degree() != self.degree
+                    or _record(self.f, self.g, self.f_id, self.g_id,
+                               self.kind, self.p, self.q, self.a, self.b,
+                               Context(*self.cf, w.difference(self._lf)),
+                               Context(*self.cg, w.difference(self._lg)),
+                               w, self._lf, self._lg, self) is None):
                 raise AssertionError("built record contradicts the zero "
                                      "test or the predicted degree")
-            self._built = rec._built
         return self._built
 
     mf = property(lambda self: self._build()[0])
@@ -95,11 +113,12 @@ class CompositionRecord:
 
 def _record(f: Relation, g: Relation, f_id, g_id, kind, p, q, a, b,
             ctx_f: Context, ctx_g: Context, w: RigMonomial,
-            lf: RigMonomial, lg: RigMonomial):
+            lf: RigMonomial, lg: RigMonomial, rec=None):
     """Built record for one site, or None when its S-polynomial vanishes.
 
     lf and lg are f.lhs and g.lhs already scaled by the cofactors of
-    ctx_f and ctx_g; padding them must give w.
+    ctx_f and ctx_g; padding them must give w.  rec, when given, is the
+    site's lazy record, which is filled in place instead of copied.
     """
     if lf.circ(ctx_f.pad) != w or lg.circ(ctx_g.pad) != w:
         raise AssertionError("composition contexts do not meet the ambiguity")
@@ -109,10 +128,11 @@ def _record(f: Relation, g: Relation, f_id, g_id, kind, p, q, a, b,
         return None
     if not max(mf.skey, mg.skey) < w.skey:
         raise AssertionError("S-polynomial is not below its ambiguity")
-    rec = CompositionRecord(f, g, f_id, g_id, kind, p, q, a, b,
-                            (ctx_f.left, ctx_f.right),
-                            (ctx_g.left, ctx_g.right),
-                            w.max_component_degree())
+    if rec is None:
+        rec = CompositionRecord(f, g, f_id, g_id, kind, p, q, a, b,
+                                (ctx_f.left, ctx_f.right),
+                                (ctx_g.left, ctx_g.right),
+                                w.max_component_degree())
     rec._lf, rec._lg, rec._ambiguity = lf, lg, w
     rec._built = (mf, mg, ctx_f, ctx_g)
     return rec
@@ -130,9 +150,13 @@ def _shifted(delta, left, right):
 
 
 def compositions(f: Relation, g: Relation, f_id: int, g_id: int,
-                 commutative: bool, ident) -> list:
+                 commutative: bool, ident, max_degree=None,
+                 skipped=None) -> list:
     """Records of the ordered pair (f, g) whose S-polynomial is nonzero,
     one per site; duplicates by cofactor are dropped.
+
+    With max_degree, a nonzero site whose degree exceeds it gets no
+    record: its degree is appended to the list skipped instead.
 
     Every comparison here is a sort-key comparison, so the order the
     relations were oriented by is not needed.
@@ -152,6 +176,9 @@ def compositions(f: Relation, g: Relation, f_id: int, g_id: int,
         if len(df) != len(dg) or _shifted(df, *cf) != _shifted(dg, *cg):
             degree = max(hf + cf[0].degree() + cf[1].degree(),
                          hg + cg[0].degree() + cg[1].degree())
+            if max_degree is not None and degree > max_degree:
+                skipped.append(degree)
+                return
             out.append(CompositionRecord(f, g, f_id, g_id, kind, p, q, a, b,
                                          cf, cg, degree))
 

@@ -27,6 +27,15 @@ class ReductionError(RuntimeError):
     pass
 
 
+class ReductionBudgetExhausted(ReductionError):
+    """normal_form stopped at its step limit before reaching a normal form."""
+
+    def __init__(self, max_steps):
+        super().__init__(f"reduction budget exhausted: step limit of "
+                         f"{max_steps} reached")
+        self.max_steps = max_steps
+
+
 @dataclass(frozen=True)
 class Context:
     """Rewriting site: components are scaled by left/right, pad is circ-ed on.
@@ -298,7 +307,7 @@ def normal_form(f: Polynomial, system: System, max_steps: int = 10 ** 6):
         if target is None:
             break
         if len(steps) >= max_steps:
-            raise ReductionError("reduction budget exhausted")
+            raise ReductionBudgetExhausted(max_steps)
         alpha = terms.pop(target)
         out = occ.context.apply_mon(system.relations[occ.rel_id].rhs)
         acc = terms.get(out, ZERO) + alpha
@@ -361,7 +370,8 @@ def split_normal_form(m: RigMonomial, system: System,
     whole = m
     if len(runs) > 1:
         half = len(runs) // 2
-        parts = RigMonomial(runs[:half]), RigMonomial(runs[half:])
+        parts = (RigMonomial._canonical(runs[:half]),
+                 RigMonomial._canonical(runs[half:]))
         join = RigMonomial.circ
     elif runs and runs[0][1] > 1:
         base, k = runs[0]

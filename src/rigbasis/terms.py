@@ -176,6 +176,16 @@ class RigMonomial:
     (a proper prefix is smaller): at the first differing run, a greater
     base wins, and with equal bases the larger multiplicity wins, because
     the other multiset continues with a smaller base or ends.
+
+    RigMonomial(runs) validates and canonicalizes its runs.  The
+    operations whose output is canonical by construction skip that and
+    build through _canonical: circ, lcm and difference merge two
+    canonical run lists in order, and scaled multiplies every base by
+    the same cofactors, which keeps the order (both base orders are
+    compatible with multiplication: degree-lex, and length then letters
+    right to left) and keeps distinct bases distinct (scaling is
+    injective).  times, from_components and the parser stay on the
+    validating path.
     """
 
     __slots__ = ("runs", "skey", "_hash")
@@ -197,6 +207,9 @@ class RigMonomial:
                 if m:
                     acc[b] = acc.get(b, 0) + m
             runs = tuple(sorted(acc.items(), key=lambda r: r[0].skey))
+        self._fill(runs)
+
+    def _fill(self, runs):
         skey = []
         for b, m in reversed(runs):
             skey.append(b.skey)
@@ -204,6 +217,14 @@ class RigMonomial:
         self.runs = runs
         self.skey = tuple(skey)
         self._hash = hash(("r", self.skey))
+
+    @classmethod
+    def _canonical(cls, runs):
+        """Monomial from a tuple of runs already in canonical order
+        (strictly ascending bases, positive counts), unchecked."""
+        self = object.__new__(cls)
+        self._fill(runs)
+        return self
 
     @classmethod
     def from_components(cls, comps):
@@ -275,7 +296,7 @@ class RigMonomial:
                 out.append((a[i][0], a[i][1] + b[j][1])); i += 1; j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return RigMonomial(tuple(out))
+        return RigMonomial._canonical(tuple(out))
 
     def times(self, other):
         """All pairwise base products; theta absorbs."""
@@ -298,7 +319,7 @@ class RigMonomial:
             if right is not None:
                 c = c.mul(right)
             out.append((c, m))
-        return RigMonomial(tuple(out))
+        return RigMonomial._canonical(tuple(out))
 
     def lcm(self, other):
         """Least common multiple for circ: the pointwise multiplicity max."""
@@ -315,7 +336,7 @@ class RigMonomial:
                 out.append((a[i][0], max(a[i][1], b[j][1]))); i += 1; j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return RigMonomial(tuple(out))
+        return RigMonomial._canonical(tuple(out))
 
     def includes(self, other):
         """Multiset containment: other is a submultiset of self."""
@@ -346,7 +367,7 @@ class RigMonomial:
                 out.append((base, m))
         if j < len(b):
             raise ValueError("difference without containment")
-        return RigMonomial(tuple(out))
+        return RigMonomial._canonical(tuple(out))
 
 
 THETA = RigMonomial(())

@@ -131,6 +131,38 @@ def test_nf_plain_and_trace(blass_file, blass_basis_file, capsys):
     assert all("[rel #" in l for l in lines[:-1])
 
 
+def test_exhausted_step_budget_is_an_unknown_exit(blass_file,
+                                                 blass_basis_file,
+                                                 monkeypatch, capsys):
+    # nf and eq stop with an error naming the step limit and exit 2
+    # instead of a traceback with exit 1 (Distinct's code)
+    from rigbasis import rewrite
+    monkeypatch.setattr(rewrite.normal_form, "__defaults__", (50,))
+    monkeypatch.setattr(rewrite.normal_form_monomial, "__defaults__", (50,))
+    for argv in (("nf", blass_basis_file, "(1+x)^9"),
+                 ("nf", blass_basis_file, "(1+x)^9", "--trace"),
+                 ("eq", blass_file, "(1+x)^9", "x"),
+                 ("eq", blass_file, "(1+x)^9", "x", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == ("error: reduction budget exhausted: step limit of 50 "
+                       "reached\n")
+
+
+def test_other_reduction_errors_still_raise(blass_file, monkeypatch):
+    # only budget exhaustion is an expected outcome; an internal
+    # reduction failure stays an exception
+    from rigbasis import ReductionError, cli
+
+    def broken(*args):
+        raise ReductionError("monomial did not reduce to a monomial")
+
+    monkeypatch.setattr(cli, "decide_eq", broken)
+    with pytest.raises(ReductionError, match="did not reduce"):
+        main(["eq", blass_file, "x^7", "x"])
+
+
 def test_eq_equal(blass_file, capsys):
     code, out, _ = run(capsys, "eq", blass_file, "x^7", "x")
     assert code == 0

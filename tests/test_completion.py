@@ -2,11 +2,12 @@
 problem interface."""
 
 import random
+from heapq import heappop, heappush
 
 import pytest
 from conftest import rand_mono
 
-from rigbasis import composition
+from rigbasis import completion, composition
 from rigbasis import (
     STATUS_COMPLETE,
     STATUS_TRUNCATED,
@@ -367,6 +368,167 @@ def test_records_are_built_only_for_examined_pairs(text, limits,
                    order=pres.order(), limits=limits)
     assert rep.stats["pairs_examined"] == limits.max_steps
     assert len(built) == rep.stats["pairs_examined"]
+
+
+class _EagerKeys(completion._Completer):
+    """Reference: the queue before key prefixes.  Every record is pushed
+    on its full ambiguity key, built at enqueue, and the enumeration
+    makes a record for every nonzero site, above the cap too."""
+
+    def enqueue_pairs(self, new_id):
+        ids = [i for i, a in enumerate(self.active) if a]
+        pairs = [(new_id, new_id)]
+        for j in ids:
+            if j != new_id:
+                pairs.append((new_id, j))
+                pairs.append((j, new_id))
+        for fi, gi in pairs:
+            recs = composition.compositions(self.log[fi], self.log[gi], fi,
+                                            gi, self.commutative,
+                                            self.snapshot().ident)
+            for rec in recs:
+                d = rec.degree
+                if d > self.stats["max_ambiguity_degree_seen"]:
+                    self.stats["max_ambiguity_degree_seen"] = d
+                if d > self.limits.max_ambiguity_degree:
+                    self.stats["truncation_skips"] += 1
+                    continue
+                self.seq += 1
+                heappush(self.heap, (rec.ambiguity.skey, self._tiebreak(),
+                                     self.seq, rec))
+                self.stats["records_queued"] += 1
+
+    def run(self, pairs):
+        for m, n in pairs:
+            self.integrate(Polynomial.monomial(m).sub(
+                Polynomial.monomial(n)))
+        hit_step_cap = False
+        while self.heap:
+            if self.stats["pairs_examined"] >= self.limits.max_steps:
+                hit_step_cap = True
+                break
+            _, _, _, rec = heappop(self.heap)
+            if not (self.active[rec.f_id] and self.active[rec.g_id]):
+                continue
+            self.stats["pairs_examined"] += 1
+            self.integrate(rec.spoly)
+        truncated = hit_step_cap or self.stats["truncation_skips"] > 0
+        return STATUS_TRUNCATED if truncated else STATUS_COMPLETE
+
+
+def _examined_run(pres, limits, tie_seed, reference, monkeypatch):
+    """(examined sites in order, status, stats, rendered basis)."""
+    examined = []
+    spoly = composition.CompositionRecord.spoly
+
+    def logged(rec):
+        examined.append((rec.f_id, rec.g_id, rec.kind, rec.a, rec.b))
+        return spoly.fget(rec)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(composition.CompositionRecord, "spoly", property(logged))
+        if reference:
+            comp = _EagerKeys(pres.commutative, pres.alphabet, pres.order(),
+                              limits, tie_seed)
+            status = comp.run(pres.relations)
+            basis = reduce_system(comp.snapshot())
+            stats = dict(comp.stats, basis_size=len(basis.relations))
+        else:
+            rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                           order=pres.order(), limits=limits,
+                           tie_seed=tie_seed)
+            status, basis, stats = rep.status, rep.basis, rep.stats
+    return (examined, status, stats,
+            [render_relation(r, pres.alphabet)
+             for r in basis.active_relations()])
+
+
+_COMM_RAW = ("mode: commutative\nvars: x y\nrel: x + y = 1 + x\n")
+_NC_RAW = ("mode: noncommutative\nvars: x y\nrel: 1 + y^2 = x y\n")
+
+
+@pytest.mark.parametrize("tie_seed", [None, 20261], ids=["no-tie-seed",
+                                                         "tie-seed"])
+@pytest.mark.parametrize("text, limits", [
+    (_COMM_RAW, CompletionLimits(6, 100)),
+    (_COMM_RAW, CompletionLimits(6, 200)),
+    (_COMM_RAW, CompletionLimits(6, 300)),
+    (_NC_RAW, CompletionLimits(4, 100)),
+    ("fiore-leinster", CompletionLimits()),
+    ("blass", CompletionLimits()),
+    ("znc", CompletionLimits()),
+], ids=["comm-100", "comm-200", "comm-300", "nc-100", "fiore-leinster",
+        "blass", "znc"])
+def test_key_prefix_queue_examines_in_the_eager_order(text, limits, tie_seed,
+                                                      monkeypatch):
+    # records queued on a key prefix and re-keyed at the top of the heap
+    # are examined in the order of a heap keyed by the full ambiguity,
+    # with the same tie-breaks, and end with the same report
+    pres = (preset(text).presentation if text in preset_names()
+            else parse_presentation(text))
+    got = _examined_run(pres, limits, tie_seed, False, monkeypatch)
+    want = _examined_run(pres, limits, tie_seed, True, monkeypatch)
+    assert got[1:] == want[1:]
+    assert got[0] == want[0]
+    assert len(got[0]) == got[2]["pairs_examined"]
+
+
+@pytest.mark.parametrize("name", ["fiore-leinster", "blass", "znc"])
+def test_step_cap_at_the_last_examination_sees_retired_records(name,
+                                                               monkeypatch):
+    # capped at exactly the pairs an uncapped run examines, the run is
+    # Truncated when records are left queued, even if every one of them
+    # has a retired parent: the prefix queue must keep them until their
+    # exact key pops, as an eagerly keyed queue does
+    pres = preset(name).presentation
+    n = complete(pres.relations, pres.commutative, pres.alphabet,
+                 order=pres.order()).stats["pairs_examined"]
+    for steps in (n - 1, n, n + 1):
+        limits = CompletionLimits(max_steps=steps)
+        got = _examined_run(pres, limits, None, False, monkeypatch)
+        assert got[1:] == _examined_run(pres, limits, None, True,
+                                        monkeypatch)[1:]
+
+
+@pytest.mark.parametrize("text, limits", [
+    (_COMM_RAW, CompletionLimits(6, 100)),
+    (_NC_RAW, CompletionLimits(4, 100)),
+], ids=["commutative", "noncommutative"])
+def test_queue_builds_only_what_it_pops(text, limits, monkeypatch):
+    # a CompositionRecord is made only for a queued site (never above
+    # the cap), and an ambiguity is built only for a record whose key
+    # prefix reached the top of the heap
+    made, built, rekeyed = [], [], []
+    init = composition.CompositionRecord.__init__
+    ambiguity = composition.CompositionRecord.ambiguity
+    heapreplace = completion.heapreplace
+
+    def counted_init(self, *args):
+        made.append(args[:4])
+        init(self, *args)
+
+    def counted_ambiguity(self):
+        if self._ambiguity is None:
+            built.append(self)
+        return ambiguity.fget(self)
+
+    def counted_heapreplace(heap, item):
+        rekeyed.append(item)
+        return heapreplace(heap, item)
+
+    monkeypatch.setattr(composition.CompositionRecord, "__init__",
+                        counted_init)
+    monkeypatch.setattr(composition.CompositionRecord, "ambiguity",
+                        property(counted_ambiguity))
+    monkeypatch.setattr(completion, "heapreplace", counted_heapreplace)
+    pres = parse_presentation(text)
+    rep = complete(pres.relations, pres.commutative, pres.alphabet,
+                   order=pres.order(), limits=limits)
+    stats = rep.stats
+    assert len(made) == stats["records_queued"]
+    assert len(built) == len(rekeyed)
+    assert stats["pairs_examined"] <= len(built) <= stats["records_queued"]
+    assert all(item[4] for item in rekeyed)
 
 
 def test_new_lead_inside_an_old_rhs_retires_it():

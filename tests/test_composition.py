@@ -336,3 +336,61 @@ def test_zero_test_and_degree_agree_with_eager_build(pres, limits):
                     r.ctx_f, r.ctx_g) for r in recs]
             assert got == _eager_sites(f, g, system.commutative,
                                        system.ident), (i, j)
+
+
+def _site(rec):
+    return (rec.f_id, rec.g_id, rec.kind, rec.a, rec.b)
+
+
+_SYSTEMS = pytest.mark.parametrize("pres, limits", [
+    (FL.presentation, CompletionLimits()),
+    (BLASS.presentation, CompletionLimits()),
+    (preset("znc").presentation, CompletionLimits()),
+    (_COMM_RAW, None),
+    (_COMM_RAW, CompletionLimits(6, 100)),
+    (_NC_RAW, None),
+    (_NC_RAW, CompletionLimits(4, 100)),
+], ids=["fiore-leinster-basis", "blass-basis", "znc-basis", "comm-raw",
+        "comm-truncated", "nc-raw", "nc-truncated"])
+
+
+def _ordered_pairs(pres, limits):
+    system = pres.system()
+    if limits is not None:
+        system = complete(pres.relations, pres.commutative, pres.alphabet,
+                          order=pres.order(), limits=limits).basis
+    act = system.active()
+    return system, [(i, f, j, g) for i, f in act for j, g in act]
+
+
+@_SYSTEMS
+def test_key_prefix_is_a_prefix_of_the_ambiguity_key(pres, limits):
+    # completion queues a record on key_prefix() and builds the exact
+    # key only at the top of the heap; the order is unchanged only if
+    # the prefix is exactly the first two items of the ambiguity's key
+    system, pairs = _ordered_pairs(pres, limits)
+    for i, f, j, g in pairs:
+        for rec in compositions(f, g, i, j, system.commutative,
+                                system.ident):
+            prefix = rec.key_prefix()
+            assert rec._ambiguity is None
+            assert prefix == rec.ambiguity.skey[:2], _site(rec)
+
+
+@_SYSTEMS
+def test_capped_enumeration_skips_without_records(pres, limits):
+    # with a degree cap, the sites above it make no record, and their
+    # degrees are reported in enumeration order
+    system, pairs = _ordered_pairs(pres, limits)
+    for i, f, j, g in pairs:
+        full = compositions(f, g, i, j, system.commutative, system.ident)
+        top = max((r.degree for r in full), default=0)
+        for cap in range(top + 1):
+            skipped = []
+            got = compositions(f, g, i, j, system.commutative, system.ident,
+                               cap, skipped)
+            assert [_site(r) for r in got] == [
+                _site(r) for r in full if r.degree <= cap]
+            assert [r.degree for r in got] == [
+                r.degree for r in full if r.degree <= cap]
+            assert skipped == [r.degree for r in full if r.degree > cap]

@@ -145,6 +145,65 @@ def test_identity_factors_match_the_full_product():
     assert ident.mul(ident) == ident
 
 
+def _same_monomial(got, want):
+    # equal values must agree in every stored field, not only in ==
+    assert type(got.runs) is tuple
+    assert got.runs == want.runs
+    assert got.skey == want.skey
+    assert hash(got) == hash(want)
+    assert got == want
+
+
+def _bag(m):
+    bag = {}
+    for b in m.components():
+        bag[b] = bag.get(b, 0) + 1
+    return bag
+
+
+def _times(left, base, right):
+    # the product left . base . right, built from the raw letters or
+    # exponents rather than through mul
+    if isinstance(base, Word):
+        return Word(left.letters + base.letters + right.letters)
+    return CommMonomial(tuple(a + b + c for a, b, c in
+                              zip(left.exps, base.exps, right.exps)))
+
+
+def _non_identity(rng, commutative):
+    while True:
+        b = rand_base(rng, 2, commutative)
+        if not b.is_identity:
+            return b
+
+
+def test_canonical_results_match_the_validating_constructor():
+    # circ, lcm, difference and scaled build their result from runs that
+    # are canonical by construction, skipping RigMonomial's check and
+    # sort; each must equal the validated monomial built from runs
+    # computed here independently, and so must split slices of runs
+    rng = random.Random(111)
+    for commutative in (True, False):
+        for _ in range(300):
+            m = rand_mono(rng, 2, commutative, max_len=5)
+            n = rand_mono(rng, 2, commutative, max_len=5)
+            _same_monomial(m.circ(n), RigMonomial.from_components(
+                list(m.components()) + list(n.components())))
+            bm, bn = _bag(m), _bag(n)
+            lcm = {b: max(bm.get(b, 0), bn.get(b, 0)) for b in {**bm, **bn}}
+            _same_monomial(m.lcm(n), RigMonomial(tuple(lcm.items())))
+            w = m.lcm(n)
+            _same_monomial(w.difference(m), RigMonomial(tuple(
+                (b, k - bm.get(b, 0)) for b, k in lcm.items())))
+            left, right = (_non_identity(rng, commutative) for _ in "lr")
+            _same_monomial(m.scaled(left, right), RigMonomial.from_components(
+                [_times(left, b, right) for b in m.components()]))
+            for half in range(len(m.runs) + 1):
+                for part in (m.runs[:half], m.runs[half:]):
+                    _same_monomial(RigMonomial._canonical(part),
+                                   RigMonomial(part))
+
+
 def test_includes_difference_multiplicity():
     rng = random.Random(106)
     for commutative in (True, False):
