@@ -33,7 +33,6 @@ class ReductionBudgetExhausted(ReductionError):
     def __init__(self, max_steps):
         super().__init__(f"reduction budget exhausted: step limit of "
                          f"{max_steps} reached")
-        self.max_steps = max_steps
 
 
 @dataclass(frozen=True)
