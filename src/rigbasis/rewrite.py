@@ -4,9 +4,11 @@ A relation is an oriented pair of rig monomials (greater side first).
 Rewriting replaces a context-applied occurrence of the greater side by
 the same context applied to the smaller side.  Every reduction returns
 a replayable trace: f = sum of coeff * context[relation] + normal_form.
-Occurrence search is first-fit: candidate cofactors come in key order,
-a fit test checks each against the target's run multiplicities without
-building the scaled pattern, and only the site used becomes a Context.
+Occurrence search is first-fit on plain tuples: a left side is compiled
+to its anchor's exponent vector or letters and its runs, candidates are
+cofactor vectors or (component, offset) pairs tested in key order
+against the target's run counts, and only the fit used becomes
+cofactors and a Context.
 A rewrite step is a one-term update: the target's coefficient moves to
 context[rhs] and every other term stays as it is.
 split_normal_form, for confluent systems only, assembles a normal form
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, sub
 
 from .terms import ZERO, CommMonomial, Polynomial, RigMonomial, Word
 from .ordering import RigOrder
@@ -89,9 +91,15 @@ class Relation:
         d = {}
         for m, sign in ((self.lhs, 1), (self.rhs, -1)):
             for b, k in m.runs:
-                key = b.exps if isinstance(b, CommMonomial) else b.letters
+                key = _key(b)
                 d[key] = d.get(key, 0) + sign * k
         return {key: k for key, k in d.items() if k}
+
+    @cached_property
+    def compiled_lhs(self):
+        """lhs compiled for occurrence search (_compile); relations are
+        shared across snapshots, so each is compiled once."""
+        return _compile(self.lhs)
 
 
 def orient_pair(m: RigMonomial, n: RigMonomial, order: RigOrder) -> Relation:
@@ -137,91 +145,132 @@ class System:
                       [i for i in self.active_ids if i != rel_id])
 
 
-def _cofactor_key(ab):
-    return (ab[0].skey, ab[1].skey)
+def _key(b):
+    """A base monomial as plain data: exponent vector or letter tuple."""
+    return b.exps if isinstance(b, CommMonomial) else b.letters
 
 
-def _candidates(m: RigMonomial, pattern: RigMonomial, commutative: bool,
-                ident):
-    """Cofactor pairs (a, b) that place the pattern's greatest component
-    inside some component of m, lazily, in (a, b) key order.
-
-    Any match must put that anchor inside a component c = a . anchor . b,
-    which bounds the candidates; (a, b) determines c, so they are
-    distinct.  Commutative cofactors come straight from m's ascending
-    runs: a = c / anchor, and subtracting the same exponent vector from
-    every c keeps the order of their (degree, exponents) keys.
-    Noncommutative ones are collected and sorted.
-    """
-    anchor = pattern.greatest_component()
-    if commutative:
-        for c, _ in m.runs:
-            if anchor.divides(c):
-                yield c.div(anchor), ident
-    else:
-        yield from sorted((ab for c, _ in m.runs
-                           for ab in c.occurrences(anchor)),
-                          key=_cofactor_key)
+def _compile(pattern: RigMonomial):
+    """pattern as plain data for _matches, or None for theta: (anchor key,
+    anchor degree, anchor multiplicity, ((key, multiplicity), ...) over
+    the other runs).  The anchor is the greatest component."""
+    if pattern.is_theta:
+        return None
+    *rest, (anchor, k) = pattern.runs
+    return (_key(anchor), anchor.degree(), k,
+            tuple((_key(b), n) for b, n in rest))
 
 
 def _run_counts(m: RigMonomial, commutative: bool) -> dict:
-    """base -> multiplicity over the runs of m, keyed by the base's
-    exponent vector (commutative) or letter tuple (noncommutative)."""
+    """base -> multiplicity over the runs of m, in run order, keyed by the
+    base's exponent vector (commutative) or letter tuple."""
     if commutative:
         return {b.exps: k for b, k in m.runs}
     return {b.letters: k for b, k in m.runs}
 
 
-def _fits(counts: dict, pattern: RigMonomial, a, b,
-          commutative: bool) -> bool:
-    """Whether a . pattern . b is a submultiset of the monomial whose
-    _run_counts are counts, without building the scaled monomial.
+def _matches(m: RigMonomial, counts: dict, pat, commutative: bool):
+    """Every fit of the compiled pattern pat in m, lazily, in (left,
+    right) key order, as (left, right, need): the cofactors as plain
+    tuples (right is None in commutative mode) and {key: multiplicity}
+    of left . pattern . right, which m's run counts cover.
 
-    Multiplying by (a, b) is injective on base monomials, so the scaled
-    runs stay distinct and each can be checked on its own.
+    Any fit puts the anchor inside a component c = left . anchor . right
+    whose multiplicity covers the anchor's, which bounds the candidates;
+    (left, right) determines c, so they are distinct.  Multiplying by the
+    cofactors is injective on base monomials, so every other run is
+    checked on its own against counts.  Commutative candidates come
+    straight from m's ascending runs: left = c - anchor, and subtracting
+    the same vector from every c keeps the order of their (degree,
+    exponents) keys.  Noncommutative candidates are (component, offset)
+    pairs, sorted on the (left.skey, right.skey) they stand for.
     """
+    akey, adeg, ak, rest = pat
     if commutative:
-        ae = a.exps
-        for base, k in pattern.runs:
-            if counts.get(tuple(map(add, ae, base.exps)), 0) < k:
-                return False
-        return True
-    al, bl = a.letters, b.letters
-    for base, k in pattern.runs:
-        if counts.get(al + base.letters + bl, 0) < k:
-            return False
-    return True
+        for c, n in m.runs:
+            if n < ak or c.skey[0] < adeg:
+                continue
+            left = tuple(map(sub, c.exps, akey))
+            if min(left) < 0:
+                continue
+            need = {c.exps: ak}
+            for e, k in rest:
+                s = tuple(map(add, left, e))
+                if counts.get(s, 0) < k:
+                    break
+                need[s] = k
+            else:
+                yield left, None, need
+        return
+
+    def skeys(cand):
+        w, o = cand
+        r = o + adeg
+        return (o, w[:o][::-1]), (len(w) - r, w[r:][::-1])
+
+    cands = []
+    for c, n in m.runs:
+        if n >= ak:
+            w = c.letters
+            for o in range(len(w) - adeg + 1):
+                if w[o:o + adeg] == akey:
+                    cands.append((w, o))
+    if len(cands) > 1:
+        cands.sort(key=skeys)
+    for w, o in cands:
+        left, right = w[:o], w[o + adeg:]
+        need = {w: ak}
+        for e, k in rest:
+            s = left + e + right
+            if counts.get(s, 0) < k:
+                break
+            need[s] = k
+        else:
+            yield left, right, need
 
 
-def _context(m: RigMonomial, pattern: RigMonomial, a, b) -> Context:
-    return Context(a, b, m.difference(pattern.scaled(a, b)))
+def _fit_context(m: RigMonomial, counts: dict, fit, commutative: bool,
+                 ident) -> Context:
+    """The Context of one fit: its cofactors, and m minus what it needs
+    (counts holds the keys of m's runs in run order)."""
+    left, right, need = fit
+    pad = []
+    for (b, n), key in zip(m.runs, counts):
+        n -= need.get(key, 0)
+        if n:
+            pad.append((b, n))
+    pad = RigMonomial._canonical(tuple(pad))
+    if commutative:
+        return Context(CommMonomial(left), ident, pad)
+    return Context(Word(left), Word(right), pad)
 
 
 def pattern_occurrences(m: RigMonomial, pattern: RigMonomial,
                         commutative: bool, ident) -> list[Context]:
     """All contexts c with c[pattern] = m, ordered by (left, right) key.
 
-    Each anchor cofactor is checked against m's run multiplicities
-    (_fits) before anything is built; a Context is built only for the
-    cofactors that fit.  A theta pattern matches everything with the
-    whole target as pad.
+    The pattern is compiled on the spot, candidates are tested on
+    exponent vectors or letter offsets (_matches), and only the fits
+    become Contexts.  A theta pattern matches everything with the whole
+    target as pad.
     """
-    if pattern.is_theta:
+    pat = _compile(pattern)
+    if pat is None:
         return [Context(ident, ident, m)]
     counts = _run_counts(m, commutative)
-    return [_context(m, pattern, a, b)
-            for a, b in _candidates(m, pattern, commutative, ident)
-            if _fits(counts, pattern, a, b, commutative)]
+    return [_fit_context(m, counts, fit, commutative, ident)
+            for fit in _matches(m, counts, pat, commutative)]
 
 
 def occurs(m: RigMonomial, pattern: RigMonomial, commutative: bool,
            ident) -> bool:
-    """Whether some context c has c[pattern] = m; stops at the first fit."""
-    if pattern.is_theta:
+    """Whether some context c has c[pattern] = m; stops at the first fit
+    and builds nothing from it."""
+    pat = _compile(pattern)
+    if pat is None:
         return True
-    counts = _run_counts(m, commutative)
-    return any(_fits(counts, pattern, a, b, commutative)
-               for a, b in _candidates(m, pattern, commutative, ident))
+    fits = _matches(m, _run_counts(m, commutative), pat, commutative)
+    return next(fits, None) is not None
 
 
 def find_occurrences(m: RigMonomial, system: System) -> list[Occurrence]:
@@ -236,20 +285,22 @@ def find_occurrences(m: RigMonomial, system: System) -> list[Occurrence]:
 def first_occurrence(m: RigMonomial, system: System):
     """The first occurrence in (relation index, left, right) order, or None.
 
-    First-fit: relations are tried in index order and each one's
-    candidates in key order, and only the first fit becomes a Context;
-    this is the first entry of find_occurrences, found without building
-    the others.
+    First-fit: relations are tried in index order, each on its left side
+    compiled once (Relation.compiled_lhs), and each one's candidates in
+    key order; only the first fit becomes cofactors and a Context.  This
+    is the first entry of find_occurrences, found without building the
+    others.
     """
     commutative, ident = system.commutative, system.ident
     counts = _run_counts(m, commutative)
-    for i, rel in system.active():
-        pattern = rel.lhs
-        if pattern.is_theta:
+    relations = system.relations
+    for i in system.active_ids:
+        pat = relations[i].compiled_lhs
+        if pat is None:
             return Occurrence(i, Context(ident, ident, m))
-        for a, b in _candidates(m, pattern, commutative, ident):
-            if _fits(counts, pattern, a, b, commutative):
-                return Occurrence(i, _context(m, pattern, a, b))
+        for fit in _matches(m, counts, pat, commutative):
+            return Occurrence(i, _fit_context(m, counts, fit, commutative,
+                                              ident))
     return None
 
 

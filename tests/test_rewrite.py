@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import rand_mono, rand_poly
+from conftest import rand_base, rand_mono, rand_poly
 
 from rigbasis import (
     THETA,
@@ -246,6 +246,111 @@ def test_first_occurrence_matches_reference():
         for ref in (normal_form, _ref_normal_form):
             with pytest.raises(ReductionError):
                 ref(Polynomial.monomial(m), theta_lhs, max_steps=30)
+
+
+def _edge_systems():
+    """Systems at the edges of occurrence search: an identity anchor
+    (lhs 1 + 1, so every component and every split of a word is a
+    candidate) in both modes, self-overlapping word anchors, three
+    commutative generators, and a theta lhs first in index order."""
+    comm_ident = parse_presentation(
+        "mode: commutative\nvars: x y\nrel: 1 + 1 = 1\n"
+        "rel: x^2 y + x = y\n").system()
+    nc_ident = parse_presentation(
+        "mode: noncommutative\nvars: x y\nrel: 1 + 1 = 1\n"
+        "rel: y x + x = y\n").system()
+    overlap = parse_presentation(
+        "mode: noncommutative\nvars: x y\nrel: x x + y = x\n"
+        "rel: x y x + x = 1\n").system()
+    three = parse_presentation(
+        "mode: commutative\nvars: x y z\nrel: x y z + z = 1 + x\n"
+        "rel: y^2 + x z = z\nrel: z^3 = x + y\n").system()
+    x = RigMonomial.singleton(CommMonomial.variable(0, 2))
+    theta_first = System(True, comm_ident.alphabet, comm_ident.order,
+                         (Relation(THETA, x),) + comm_ident.relations)
+    return [comm_ident, nc_ident, overlap, three, theta_first]
+
+
+def _edge_targets(rng, system):
+    """Seeded targets: 1-4 bases from a small pool (the identity, random
+    bases and, for words, the self-overlapping ones and their pieces),
+    each 1-3 times, so that fits in several components compete; then
+    targets whose every component has a lower degree than every
+    non-identity anchor of the system."""
+    comm, nvars = system.commutative, len(system.alphabet)
+    pool = [system.ident] + [rand_base(rng, nvars, comm, max_deg=4)
+                             for _ in range(4)]
+    if not comm:
+        pool += [Word(t) for t in ((0,), (1,), (0, 0), (0, 1, 0),
+                                   (0, 0, 0, 0), (0, 1, 0, 1, 0))]
+
+    def target(bases):
+        return RigMonomial(tuple((rng.choice(bases), rng.randint(1, 3))
+                                 for _ in range(rng.randint(1, 4))))
+
+    degs = [rel.lhs.max_component_degree() for _, rel in system.active()]
+    low = min(d for d in degs if d)
+    small = base_monomials_up_to(system.alphabet, comm, low - 1)
+    return ([target(pool) for _ in range(100)]
+            + [target(small) for _ in range(20)])
+
+
+def test_edge_cases_match_reference():
+    rng = random.Random(313)
+    for system in _edge_systems():
+        comm, ident = system.commutative, system.ident
+        theta_first = system.relations[0].lhs.is_theta
+        targets = _edge_targets(rng, system)
+        for m in targets:
+            assert first_occurrence(m, system) == _ref_first_occurrence(
+                m, system)
+            for _, rel in system.active():
+                want = _ref_pattern_occurrences(m, rel.lhs, comm, ident)
+                assert pattern_occurrences(m, rel.lhs, comm, ident) == want
+                assert occurs(m, rel.lhs, comm, ident) == bool(want)
+                if m.max_component_degree() < rel.lhs.max_component_degree():
+                    assert not want
+        for m, n in zip(targets, targets[1:]):
+            f = Polynomial({m: 2, n: Fraction(-1, 3)})
+            for g in (Polynomial.monomial(m), f):
+                if g.is_zero():
+                    continue
+                if theta_first:
+                    for ref in (normal_form, _ref_normal_form):
+                        with pytest.raises(ReductionError):
+                            ref(g, system, max_steps=20)
+                    continue
+                nf, trace = normal_form(g, system)
+                want_nf, want_trace = _ref_normal_form(g, system)
+                assert nf.terms == want_nf.terms
+                assert trace == want_trace
+
+
+def test_first_occurrence_builds_only_the_fit(monkeypatch):
+    # misses build no cofactor; a fit builds its cofactors and nothing
+    # else: one exponent vector, or the two words around the anchor
+    systems = [pre.basis_system() for pre in (FL, BLASS, preset("znc"))]
+    built = []
+    for cls in (CommMonomial, Word):
+        def counting(self, *args, _init=cls.__init__):
+            built.append(args)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    rng = random.Random(317)
+    hits = misses = 0
+    for system in systems:
+        comm, nvars = system.commutative, len(system.alphabet)
+        for _ in range(200):
+            m = rand_mono(rng, nvars, comm, max_len=6, max_deg=4)
+            built.clear()
+            occ = first_occurrence(m, system)
+            if occ is None:
+                misses += 1
+                assert built == []
+            else:
+                hits += 1
+                assert len(built) <= (1 if comm else 2)
+    assert hits and misses
 
 
 def test_wide_power_step_counts():
